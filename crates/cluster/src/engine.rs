@@ -616,8 +616,7 @@ impl ClusterCore {
                 PangeaError::NotWireSafe(format!(
                     "scheme '{}' is keyed by an opaque closure (a UDF) and \
                      cannot ship with a map task; build it with \
-                     hash_field/hash_whole, or fall back to the \
-                     driver-routed shuffle",
+                     hash_field/hash_whole",
                     scheme.key_name
                 ))
             })?),

@@ -67,13 +67,17 @@ impl Manager {
         Ok(())
     }
 
-    /// Removes a set from the catalog and its group.
+    /// Removes a set from the catalog and its group. A group whose last
+    /// member goes is removed with it: an empty group has nothing to
+    /// recover, and recovery walks every listed group.
     pub fn deregister_set(&self, name: &str) {
         let removed = self.catalog.lock().remove(name);
-        if let Some(entry) = removed {
-            if let Some(g) = entry.group {
-                if let Some(members) = self.groups.lock().get_mut(&g) {
-                    members.retain(|m| m != name);
+        if let Some(g) = removed.and_then(|entry| entry.group) {
+            let mut groups = self.groups.lock();
+            if let Some(members) = groups.get_mut(&g) {
+                members.retain(|m| m != name);
+                if members.is_empty() {
+                    groups.remove(&g);
                 }
             }
         }
@@ -317,5 +321,17 @@ mod tests {
         m.deregister_set("b");
         assert_eq!(m.group_members(g), vec!["a"]);
         assert!(!m.contains("b"));
+    }
+
+    #[test]
+    fn deregistering_the_last_member_removes_the_group() {
+        let m = Manager::new();
+        m.register_set("a", scheme("k")).unwrap();
+        m.register_set("b", scheme("j")).unwrap();
+        let g = m.link_replicas("a", "b").unwrap();
+        m.deregister_set("a");
+        m.deregister_set("b");
+        assert!(m.groups().is_empty());
+        assert!(m.group_members(g).is_empty());
     }
 }

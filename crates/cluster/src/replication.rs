@@ -268,6 +268,34 @@ mod tests {
     }
 
     #[test]
+    fn dropping_a_whole_group_leaves_other_groups_recoverable() {
+        let c = cluster("dropgroup", 3);
+        load(&c, "gone", 60);
+        let gone = c
+            .register_replica("gone", "gone_f0", PartitionScheme::hash("f0", 6, field(0)))
+            .unwrap()
+            .group;
+        let kept_src = load(&c, "kept", 90);
+        let kept = c
+            .register_replica("kept", "kept_f1", PartitionScheme::hash("f1", 6, field(1)))
+            .unwrap()
+            .group;
+        c.drop_dist_set("gone").unwrap();
+        c.drop_dist_set("gone_f0").unwrap();
+        assert_eq!(c.manager().groups(), vec![kept], "the emptied group goes");
+        assert!(c.manager().group_members(gone).is_empty());
+
+        let before_src = snapshot(&kept_src);
+        let before_f1 = snapshot(&c.get_dist_set("kept_f1").unwrap());
+        c.kill_node(NodeId(1)).unwrap();
+        let report = c.recover_node(NodeId(1)).unwrap();
+        assert_eq!(report.replicas_recovered.len(), 2);
+        assert_eq!(snapshot(&kept_src), before_src);
+        assert_eq!(snapshot(&c.get_dist_set("kept_f1").unwrap()), before_f1);
+        assert_eq!(c.manager().group_members(kept), vec!["kept", "kept_f1"]);
+    }
+
+    #[test]
     fn replica_requires_keyed_scheme() {
         let c = cluster("keyed", 2);
         load(&c, "s", 10);

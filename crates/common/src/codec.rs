@@ -168,6 +168,12 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends a bare little-endian `u64` (no length prefix), for
+    /// fixed-position header fields.
+    pub fn write_u64_le(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Current encoded length.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -212,6 +218,25 @@ impl<'a> ByteReader<'a> {
         self.pos >= self.bytes.len()
     }
 
+    /// Bytes left to read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
+    /// Reads a bare little-endian `u64` written by
+    /// [`ByteWriter::write_u64_le`].
+    pub fn read_u64_le(&mut self) -> Result<u64> {
+        let end = self.pos + 8;
+        let bytes = self
+            .bytes
+            .get(self.pos..end)
+            .ok_or_else(|| PangeaError::Corruption("truncated fixed u64 field".into()))?;
+        let mut arr = [0u8; 8];
+        arr.copy_from_slice(bytes);
+        self.pos = end;
+        Ok(u64::from_le_bytes(arr))
+    }
+
     /// Reads the next record's payload without copying.
     pub fn read_bytes(&mut self) -> Result<&'a [u8]> {
         if self.pos + 4 > self.bytes.len() {
@@ -243,6 +268,22 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fixed_u64_fields_roundtrip_and_truncate_to_corruption() {
+        let mut w = ByteWriter::new();
+        w.write_u64_le(7);
+        w.write_record(&"x".to_string());
+        assert_eq!(w.len(), 8 + 4 + 1);
+        let mut r = ByteReader::new(w.as_bytes());
+        assert_eq!(r.read_u64_le().unwrap(), 7);
+        assert_eq!(r.remaining(), 5);
+        assert_eq!(r.read_record::<String>().unwrap(), "x");
+        assert!(matches!(
+            ByteReader::new(&[1, 2, 3]).read_u64_le(),
+            Err(PangeaError::Corruption(_))
+        ));
+    }
 
     #[test]
     fn roundtrip_mixed_records() {

@@ -91,8 +91,8 @@ pub enum PangeaError {
     /// an in-process closure (a UDF) that cannot cross the wire — e.g. a
     /// `PartitionScheme::hash` scheme handed to a distributed
     /// map-shuffle, which ships the task to every worker. Typed so
-    /// callers can fall back to the driver-routed path (or rebuild the
-    /// scheme with `hash_field`/`hash_whole`) without parsing prose.
+    /// callers can rebuild the scheme with `hash_field`/`hash_whole` (or
+    /// keep the job in-process) without parsing prose.
     NotWireSafe(String),
     /// An API was used incorrectly (e.g. writing to a read-configured set).
     InvalidUsage(String),

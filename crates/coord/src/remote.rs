@@ -17,12 +17,12 @@
 
 use crate::client::{ManagerClient, MgrConn, RemoteCatalog};
 use pangea_cluster::engine::{
-    Catalog, ClusterCore, DispatchConfig, EngineSet, MapShuffleReport, PeerRepair, RecordSink,
-    RecoveryReport, ReplicaReport, TaskExec, WorkerBackend,
+    Catalog, ClusterCore, EngineSet, MapShuffleReport, PeerRepair, RecordSink, RecoveryReport,
+    ReplicaReport, TaskExec, WorkerBackend,
 };
 use pangea_cluster::{PartitionKind, PartitionScheme};
 use pangea_common::ReplicaGroupId;
-use pangea_common::{fx_hash64, Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
+use pangea_common::{Epoch, FxHashMap, IoStats, NodeId, PangeaError, Result};
 use pangea_net::{
     MapSpec, PangeaClient, ReduceSpec, RepairFilter, RepairPushReport, SchemeSpec, TaskReport,
     TaskSpec, WireSpan, WireWorker, WorkerState,
@@ -340,24 +340,6 @@ impl RemoteWorkers {
     fn check_in(&self, n: NodeId, addr: String, mut client: PangeaClient) {
         client.set_trace(None);
         self.inner.clients.lock().insert(n, (addr, client));
-    }
-
-    fn shuffle_create(&self, n: NodeId, name: &str, partitions: u32) -> Result<()> {
-        self.with_client(n, |c| c.shuffle_create(name, partitions, None))
-    }
-
-    fn shuffle_send(
-        &self,
-        n: NodeId,
-        name: &str,
-        partition: u32,
-        records: &[Vec<u8>],
-    ) -> Result<()> {
-        self.with_client(n, |c| c.shuffle_send(name, partition, records).map(|_| ()))
-    }
-
-    fn shuffle_finish(&self, n: NodeId, name: &str) -> Result<()> {
-        self.with_client(n, |c| c.shuffle_finish(name))
     }
 }
 
@@ -965,9 +947,8 @@ impl RemoteCluster {
     ///
     /// `scheme` must be declarative (`hash_field`/`hash_whole`/
     /// round-robin); a closure-keyed scheme fails with the typed
-    /// [`PangeaError::NotWireSafe`]. For a shuffle keyed by an
-    /// in-process closure, fall back to the driver-routed
-    /// [`RemoteCluster::shuffle`].
+    /// [`PangeaError::NotWireSafe`]: closures stay in-process
+    /// (`SimCluster`).
     ///
     /// Jobs are retryable end to end: a worker killed mid-task surfaces
     /// a typed error, and re-running the same call (after recovering
@@ -1023,106 +1004,6 @@ impl RemoteCluster {
     #[doc(hidden)]
     pub fn set_task_hook(&self, hook: Option<Arc<dyn Fn(NodeId) + Send + Sync>>) {
         *self.workers.inner.task_hook.lock() = hook;
-    }
-
-    /// A distributed shuffle over the deployment: partition `p` lives on
-    /// worker `p % nodes`; the driver routes and batches per partition.
-    ///
-    /// This is the **legacy driver-routed path**: every record crosses
-    /// the wire twice (caller → driver-routed send → destination
-    /// worker) and the driver's NIC is the bottleneck. It remains the
-    /// fallback for shuffles keyed by arbitrary in-process closures —
-    /// the caller hashes whatever key it likes. When the key and map
-    /// are expressible declaratively, prefer
-    /// [`RemoteCluster::map_shuffle`], which ships the task to the data
-    /// and moves zero payload through the driver.
-    pub fn shuffle(&self, name: &str, partitions: u32) -> Result<RemoteShuffle> {
-        let nodes = self.alive_nodes();
-        if nodes.is_empty() {
-            return Err(PangeaError::usage("no alive workers to shuffle across"));
-        }
-        for &n in &nodes {
-            self.workers.shuffle_create(n, name, partitions)?;
-        }
-        Ok(RemoteShuffle {
-            workers: self.workers.clone(),
-            name: name.to_string(),
-            partitions: partitions.max(1),
-            nodes,
-            pending: (0..partitions.max(1)).map(|_| Vec::new()).collect(),
-            pending_bytes: vec![0; partitions.max(1) as usize],
-            config: DispatchConfig::default(),
-        })
-    }
-}
-
-/// A driver-side distributed shuffle: records are hashed to partitions,
-/// batched per partition, and shipped to the partition's owning worker.
-///
-/// Trade-off: every record pays a trip through the driver (its NIC and
-/// its CPU are the bottleneck), but the key is an arbitrary in-process
-/// value the caller computes — nothing needs to be expressible on the
-/// wire. When a declarative [`MapSpec`]/scheme can express the job, use
-/// [`RemoteCluster::map_shuffle`] instead: it ships the task to the
-/// data and the driver moves zero record bytes.
-#[derive(Debug)]
-pub struct RemoteShuffle {
-    workers: RemoteWorkers,
-    name: String,
-    partitions: u32,
-    nodes: Vec<NodeId>,
-    pending: Vec<Vec<Vec<u8>>>,
-    pending_bytes: Vec<usize>,
-    config: DispatchConfig,
-}
-
-impl RemoteShuffle {
-    /// The worker owning partition `p` (partitions stripe over the alive
-    /// workers, mirroring `PartitionScheme::node_of_partition`).
-    pub fn node_of(&self, partition: u32) -> NodeId {
-        self.nodes[(partition as usize) % self.nodes.len()]
-    }
-
-    /// Routes one record by `key`, returning its partition.
-    pub fn send(&mut self, key: &[u8], record: &[u8]) -> Result<u32> {
-        let p = (fx_hash64(key) % self.partitions as u64) as u32;
-        let slot = p as usize;
-        self.pending[slot].push(record.to_vec());
-        self.pending_bytes[slot] += record.len();
-        if self.pending[slot].len() >= self.config.max_batch_records
-            || self.pending_bytes[slot] >= self.config.max_batch_bytes
-        {
-            self.flush(p)?;
-        }
-        Ok(p)
-    }
-
-    fn flush(&mut self, p: u32) -> Result<()> {
-        let slot = p as usize;
-        if self.pending[slot].is_empty() {
-            return Ok(());
-        }
-        let node = self.node_of(p);
-        let batch = std::mem::take(&mut self.pending[slot]);
-        self.pending_bytes[slot] = 0;
-        self.workers.shuffle_send(node, &self.name, p, &batch)
-    }
-
-    /// Flushes every partition and seals the shuffle on every worker.
-    pub fn finish(mut self) -> Result<()> {
-        for p in 0..self.partitions {
-            self.flush(p)?;
-        }
-        for &n in &self.nodes.clone() {
-            self.workers.shuffle_finish(n, &self.name)?;
-        }
-        Ok(())
-    }
-
-    /// Scans one partition's records from its owning worker.
-    pub fn scan_partition(&self, p: u32, f: &mut dyn FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        self.workers
-            .scan(self.node_of(p), &format!("{}.part{p}", self.name), f)
     }
 }
 

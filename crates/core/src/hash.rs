@@ -280,8 +280,13 @@ where
 
     /// A full page needs room: split the partition if the pool can give
     /// us a page, otherwise spill the page as partial-aggregation results.
+    /// Splitting stops while pinned frames fill three quarters of the
+    /// pool: a buffer's pages stay pinned until it is finalized, so
+    /// without that reserve one buffer could pin every frame and starve
+    /// the node's other work — a concurrent buffer's finalize, a scan —
+    /// into a fatal out-of-memory.
     fn make_room(&mut self, root: usize, page_idx: usize) -> Result<()> {
-        if self.roots[root].depth < MAX_DEPTH {
+        if self.roots[root].depth < MAX_DEPTH && self.set.node().pinned_headroom() {
             match self.set.new_page() {
                 Ok(new_pin) => return self.split(root, page_idx, new_pin),
                 Err(PangeaError::OutOfMemory { .. }) => {}
@@ -492,6 +497,24 @@ mod tests {
             "every key aggregated across spills: {:?}",
             out.iter().find(|(_, v)| *v != 10)
         );
+    }
+
+    #[test]
+    fn a_growing_buffer_leaves_frames_for_other_work() {
+        // 16 KB pool, 1 KB pages: far more distinct keys than fit. The
+        // buffer must stop splitting short of the whole pool, so another
+        // set on the node can still get a frame.
+        let n = node("reserve", 16);
+        let mut h = counting_hash_buffer(&n, "agg", HashConfig::new(2)).unwrap();
+        for i in 0..3000u32 {
+            h.insert_merge(format!("key-{i:05}").as_bytes(), 1).unwrap();
+        }
+        assert!(h.spilled_entries() > 0, "pressure must force spilling");
+        assert!(h.num_pages() <= 12, "{} pages pinned", h.num_pages());
+        let other = n.create_set("other", SetOptions::write_back()).unwrap();
+        other.new_page().unwrap();
+        let out = h.finalize().unwrap();
+        assert_eq!(out.len(), 3000);
     }
 
     #[test]

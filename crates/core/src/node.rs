@@ -345,6 +345,13 @@ impl StorageNode {
     // Page operations
     // ------------------------------------------------------------------
 
+    /// True while pinned frames hold under three quarters of the pool —
+    /// the reserve long-lived pinners (hash buffers) leave unpinned.
+    pub(crate) fn pinned_headroom(&self) -> bool {
+        let s = self.inner.pool.pool_stats();
+        s.pinned_bytes * 4 < s.capacity * 3
+    }
+
     /// Allocates and pins a brand-new page of `set`, evicting as needed.
     /// The page bytes are initialized as an empty record page.
     pub(crate) fn new_pinned_page(&self, state: &SetState) -> Result<PagePin> {

@@ -17,7 +17,7 @@ impl Node {
     fn match_guard_across_io(&self) {
         match self.peers.read().first() {
             Some(peer) => {
-                write_frame(&mut self.out, peer);
+                write_frame(&mut self.out, 0, peer);
             }
             None => {}
         }
@@ -26,5 +26,11 @@ impl Node {
     fn io_base_method_across_io(&self) {
         let table = self.routes.lock().unwrap();
         self.transport.send_bytes(&table[0]);
+    }
+
+    fn frame_read_across_io(&self) {
+        let pending = self.pending.lock();
+        let reply = read_frame(&mut self.sock);
+        pending.settle(reply);
     }
 }

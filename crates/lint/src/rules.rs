@@ -86,7 +86,8 @@ const LOCK_METHODS_EMPTY_ONLY: &[&str] = &["read", "write"];
 const GUARD_WRAPPERS: &[&str] = &["unwrap", "expect", "unwrap_or_else", "ok"];
 
 /// Method names that are IO wherever they appear: the wire client's
-/// RPC surface plus connection setup.
+/// RPC surface (`call` is `submit` + `await_response`) plus connection
+/// setup.
 const IO_METHODS: &[&str] = &[
     "call",
     "submit",
@@ -108,13 +109,9 @@ const IO_METHODS: &[&str] = &[
     "recover_append_await",
 ];
 
-/// Free functions that perform socket IO directly.
-const IO_FNS: &[&str] = &[
-    "write_frame",
-    "write_frame_corr",
-    "read_frame",
-    "read_frame_corr",
-];
+/// Free functions that perform socket IO directly: the one frame
+/// layout's writer and reader.
+const IO_FNS: &[&str] = &["write_frame", "read_frame"];
 
 /// Receiver identifiers that name an IO object: any non-benign method
 /// call on these under a held guard is a violation.
@@ -773,7 +770,8 @@ pub fn no_unwrap_in_daemon(f: &LintedFile, out: &mut Vec<Diagnostic>) {
 
 /// The inputs the opcode rule joins across.
 pub struct OpcodeCtx<'a> {
-    /// The protocol definition (`pub enum Request` / `pub enum Response`).
+    /// The protocol definition: the message tables declaring
+    /// `pub enum Request` / `pub enum Response`.
     pub proto: &'a LintedFile,
     /// Files whose non-test code must mention `Enum::Variant` for the
     /// variant to count as handled (server dispatch + manager dispatch
@@ -833,7 +831,12 @@ pub fn opcode_coverage(ctx: &OpcodeCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `(variant, line)` pairs of `pub enum <name>`'s variants.
+/// `(variant, line)` pairs of `pub enum <name>`'s variants, read from
+/// the message table that declares it. A row is
+/// `Variant { fields } = opcode,` (plain enums without the `= opcode`
+/// scan the same way): the variant is the first identifier of a row,
+/// its payload is skipped, and everything after it up to the comma —
+/// the opcode included — is not a variant.
 fn enum_variants(f: &LintedFile, name: &str) -> Vec<(String, u32)> {
     let toks = &f.toks;
     let mut found = Vec::new();

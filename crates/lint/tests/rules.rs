@@ -27,9 +27,9 @@ fn guard_across_io_flags_all_bad_shapes() {
     );
     assert_eq!(
         lines_for(&f, "guard-across-io"),
-        vec![6, 12, 18, 27],
+        vec![6, 12, 18, 27, 32],
         "named guard, if-let scrutinee (the PR 3 shape), match scrutinee, \
-         unwrap-wrapped guard"
+         unwrap-wrapped guard, frame read under a guard"
     );
 }
 
@@ -183,6 +183,39 @@ fn opcode_coverage_joins_handlers_roundtrips_and_docs() {
             ),
         ],
         "Ping/Ok are covered, Waived is allow-annotated, Orphan/Lost fire"
+    );
+}
+
+/// The rule reads variants straight out of the protocol's message
+/// table (`Variant { fields } = opcode` rows): a row no handler file
+/// dispatches is flagged at the row's own line, and the opcode after
+/// `=` is never mistaken for a variant.
+#[test]
+fn opcode_coverage_reads_the_message_table() {
+    let proto = fixture(
+        "crates/net/src/proto.rs",
+        include_str!("../fixtures/opcode/table.rs"),
+    );
+    let server = fixture(
+        "crates/net/src/server.rs",
+        include_str!("../fixtures/opcode/server.rs"),
+    );
+    let ctx = OpcodeCtx {
+        proto: &proto,
+        handlers: vec![&server],
+        roundtrips: vec![&proto],
+        design: "The Ping probe returns Ok; Unrouted is reserved.",
+    };
+    let mut out = Vec::new();
+    pangea_lint::rules::opcode_coverage(&ctx, &mut out);
+    let got: Vec<String> = out.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        got,
+        vec![
+            "crates/net/src/proto.rs:13: [opcode-coverage] Request::Unrouted is missing \
+             a handler arm"
+                .to_string()
+        ]
     );
 }
 

@@ -1,11 +1,15 @@
 //! A thin synchronous client for `pangead`.
 //!
-//! One client owns one connection and issues framed request/response
-//! round trips. Typed methods mirror the paper's node API (`createSet`,
-//! `addObject`, page iteration, shuffle) so an application can talk to a
-//! remote node with the same vocabulary it uses in-process.
+//! One client owns one connection. Every request is a correlated frame
+//! ([`crate::frame`]): [`PangeaClient::submit`] sends one and
+//! [`PangeaClient::await_response`] collects its answer, parking any
+//! other answers that arrive first, so a caller can keep a window of
+//! requests in flight; [`PangeaClient::call`] is the two back to back.
+//! Typed methods mirror the paper's node API (`createSet`, `addObject`,
+//! page iteration) so an application can talk to a remote node with the
+//! same vocabulary it uses in-process.
 
-use crate::frame::{read_frame_corr, write_frame, write_frame_corr, FRAME_CORR_OVERHEAD};
+use crate::frame::{read_frame, write_frame, FRAME_OVERHEAD};
 use crate::proto::{Request, Response};
 use crate::wire::{
     ReduceSpec, RepairFilter, RepairPushReport, TaskReport, TaskSpec, WireMetric, WireSpan,
@@ -51,11 +55,12 @@ pub struct PangeaClient {
     stream: TcpStream,
     addr: SocketAddr,
     stats: Arc<IoStats>,
-    /// When set, every outgoing request carries this [`TraceCtx`] as a
-    /// trailing envelope (see `Request::encode_traced`).
+    /// When set, every outgoing request carries this [`TraceCtx`] in
+    /// its trace field (see [`Request::encode`]).
     trace: Option<TraceCtx>,
     /// Next correlation id handed out by [`PangeaClient::submit`].
-    /// Starts at 1 — correlation 0 is the strict-serial [`call`] path.
+    /// Starts at 1 — correlation 0 marks the server's connection-level
+    /// frames, which answer no request.
     next_corr: u64,
     /// Responses that arrived while awaiting a different correlation id
     /// (out-of-order completion), parked until their id is awaited.
@@ -130,22 +135,12 @@ impl PangeaClient {
         self.trace
     }
 
-    /// One framed round trip; error responses become [`PangeaError::Remote`].
+    /// One round trip: [`PangeaClient::submit`] then
+    /// [`PangeaClient::await_response`]. Error responses become typed
+    /// errors ([`Response::into_result`]).
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        if self.inflight != 0 {
-            return Err(PangeaError::usage(format!(
-                "serial call with {} pipelined request(s) outstanding; await them first",
-                self.inflight
-            )));
-        }
-        let encoded = req.encode_traced(self.trace.as_ref());
-        self.stats
-            .record_serialization(encoded.len() + crate::frame::FRAME_OVERHEAD);
-        write_frame(&mut self.stream, &encoded)?;
-        let (_, payload) = read_frame_corr(&mut self.stream)?.ok_or_else(Self::closed_early)?;
-        self.stats
-            .record_serialization(payload.len() + crate::frame::FRAME_OVERHEAD);
-        Response::decode(&payload)?.into_result()
+        let corr = self.submit(req)?;
+        self.await_response(corr)
     }
 
     /// Sends `req` without waiting for its response; returns the
@@ -155,10 +150,10 @@ impl PangeaClient {
     /// complete them out of order across sessions.
     pub fn submit(&mut self, req: &Request) -> Result<u64> {
         let corr = self.next_corr;
-        let encoded = req.encode_traced(self.trace.as_ref());
+        let encoded = req.encode(self.trace);
         self.stats
-            .record_serialization(encoded.len() + FRAME_CORR_OVERHEAD);
-        write_frame_corr(&mut self.stream, corr, &encoded)?;
+            .record_serialization(encoded.len() + FRAME_OVERHEAD);
+        write_frame(&mut self.stream, corr, &encoded)?;
         self.next_corr += 1;
         self.inflight += 1;
         Ok(corr)
@@ -167,19 +162,18 @@ impl PangeaClient {
     /// Awaits the response to a prior [`PangeaClient::submit`].
     /// Responses to *other* outstanding submits that arrive first are
     /// parked and handed out when their id is awaited, so completion
-    /// order is free. A correlation-0 frame while pipelining is a
-    /// connection-level server error (e.g. [`Response::Busy`] from the
-    /// accept path) and fails the await typed.
+    /// order is free. A correlation-0 frame is a connection-level server
+    /// error (e.g. [`Response::Busy`] from the accept path) and fails
+    /// the await typed.
     pub fn await_response(&mut self, corr: u64) -> Result<Response> {
         self.inflight = self.inflight.saturating_sub(1);
         if let Some(resp) = self.parked.remove(&corr) {
             return resp.into_result();
         }
         loop {
-            let (got, payload) =
-                read_frame_corr(&mut self.stream)?.ok_or_else(Self::closed_early)?;
+            let (got, payload) = read_frame(&mut self.stream)?.ok_or_else(Self::closed_early)?;
             self.stats
-                .record_serialization(payload.len() + FRAME_CORR_OVERHEAD);
+                .record_serialization(payload.len() + FRAME_OVERHEAD);
             let resp = Response::decode(&payload)?;
             if got == corr {
                 return resp.into_result();
@@ -189,7 +183,7 @@ impl PangeaClient {
                 // only for connection-level rejections.
                 resp.into_result()?;
                 return Err(PangeaError::Corruption(
-                    "uncorrelated response while awaiting a pipelined request".to_string(),
+                    "uncorrelated response while awaiting a request".to_string(),
                 ));
             }
             self.parked.insert(got, resp);
@@ -700,57 +694,6 @@ impl PangeaClient {
     pub fn drop_set(&mut self, set: &str) -> Result<()> {
         let req = Request::DropSet {
             set: set.to_string(),
-        };
-        match self.call(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Creates a remote shuffle service.
-    pub fn shuffle_create(
-        &mut self,
-        name: &str,
-        partitions: u32,
-        page_size: Option<usize>,
-    ) -> Result<()> {
-        let req = Request::ShuffleCreate {
-            name: name.to_string(),
-            partitions,
-            page_size: page_size.map(|p| p as u64),
-        };
-        match self.call(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Sends records to one partition of a remote shuffle.
-    pub fn shuffle_send<R: AsRef<[u8]>>(
-        &mut self,
-        name: &str,
-        partition: u32,
-        records: &[R],
-    ) -> Result<u64> {
-        let payload_bytes: usize = records.iter().map(|r| r.as_ref().len()).sum();
-        let req = Request::ShuffleSend {
-            name: name.to_string(),
-            partition,
-            records: records.iter().map(|r| r.as_ref().to_vec()).collect(),
-        };
-        match self.call(&req)? {
-            Response::Appended { records } => {
-                self.stats.record_net(payload_bytes);
-                Ok(records)
-            }
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Seals a remote shuffle's in-progress pages.
-    pub fn shuffle_finish(&mut self, name: &str) -> Result<()> {
-        let req = Request::ShuffleFinish {
-            name: name.to_string(),
         };
         match self.call(&req)? {
             Response::Ok => Ok(()),

@@ -12,23 +12,27 @@
 //!   transfer. `SimNetwork` is one implementation; [`TcpTransport`] is
 //!   the real one. Cluster dispatch, replication, and recovery are
 //!   generic over it.
-//! * [`frame`] — length-prefixed binary framing over a byte stream (the
-//!   page codec's layout lifted onto sockets), with oversized-frame
-//!   rejection on both sides.
-//! * [`proto`] — the request/response protocol for the core node
-//!   operations: create set, append, page enumeration/fetch (recovery),
-//!   scan, shuffle send, raw delivery, stats.
-//! * [`wire`] — wire forms of control-plane state: declarative key
-//!   specs, partitioning schemes, map specs and task specs (the
-//!   distributed map-shuffle ships these *to* the data), catalog
-//!   entries, and membership records served by the `pangea-coord`
-//!   manager daemon.
+//! * [`frame`] — the one frame layout, `[len u32][corr u64][payload]`,
+//!   used in both directions, with oversized-frame rejection on both
+//!   sides.
+//! * [`proto`] — the request/response protocol, one `messages!` table
+//!   row per message (opcode, name, typed fields): core node operations
+//!   (create set, append, page enumeration/fetch, scan, raw delivery,
+//!   stats), repair and map-shuffle sessions, the manager's control
+//!   plane, and observability pulls. Every request carries a fixed
+//!   `(job, span)` trace field.
+//! * [`wire`] — the [`wire::Wire`] codec every field encodes through,
+//!   and wire forms of control-plane state: declarative key specs,
+//!   partitioning schemes, map specs and task specs (the distributed
+//!   map-shuffle ships these *to* the data), catalog entries, and
+//!   membership records served by the `pangea-coord` manager daemon.
 //! * [`FramedServer`] — a reusable accept loop (handshake enforcement,
 //!   graceful drain) shared by `pangead` and `pangea-mgr`.
 //! * [`Pangead`] / [`PangeadServer`] — the node daemon: a [`StorageNode`]
 //!   served behind the protocol (the `pangead` binary lives in
 //!   `pangea-coord`, next to `pangea-mgr`).
-//! * [`PangeaClient`] — a thin typed client over one connection.
+//! * [`PangeaClient`] — a thin typed client over one connection, with
+//!   one request path: submit, then await the correlated response.
 //!
 //! Byte accounting is designed for comparability: every transport counts
 //! *payload* bytes in `IoStats::record_net` (framing and protocol headers

@@ -23,16 +23,13 @@
 //!   so it is testable (and reusable) without any networking.
 
 use crate::client::PangeaClient;
-use crate::frame::{read_frame_corr, write_frame, write_frame_corr};
+use crate::frame::{read_frame, write_frame};
 use crate::proto::{error_response, Request, Response};
 use crate::wire::{
     ingest_tag, ReduceSpec, RepairFilter, SchemeSpec, TaskReport, TaskSpec, WireMetric, WireSpan,
 };
-use pangea_common::{fx_hash64, FxHashMap, IoStats, PangeaError, PartitionId, Result};
-use pangea_core::{
-    HashConfig, ObjectIter, ReduceBuffer, SetOptions, ShuffleConfig, ShuffleService, SpillLedger,
-    StorageNode,
-};
+use pangea_common::{fx_hash64, FxHashMap, IoStats, PangeaError, Result};
+use pangea_core::{HashConfig, ObjectIter, ReduceBuffer, SetOptions, SpillLedger, StorageNode};
 use pangea_obs::{names, Counter, Gauge, MetricValue, Obs, Registry, SpanRecord, TraceCtx};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
@@ -106,7 +103,7 @@ struct ConnState {
     /// Clone of the socket used only to `shutdown(2)` it — unblocking
     /// the reader — at server shutdown or on a fatal write error.
     stream: TcpStream,
-    /// The write half. Responses are one `write_frame_corr` under this
+    /// The write half. Responses are one `write_frame` under this
     /// lock, so frames from pool workers and offload threads never
     /// interleave.
     writer: Mutex<TcpStream>,
@@ -383,7 +380,7 @@ fn accept_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, shared: Arc<Ser
                 "at the {}-connection cap",
                 shared.max_conns
             )));
-            let _ = write_frame(&mut stream, &busy.encode());
+            let _ = write_frame(&mut stream, 0, &busy.encode());
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
@@ -425,7 +422,7 @@ fn accept_loop(listener: TcpListener, shutdown: Arc<AtomicBool>, shared: Arc<Ser
 /// demuxing each into the connection's work queue.
 fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>, shared: Arc<ServerShared>) {
     loop {
-        match read_frame_corr(&mut stream) {
+        match read_frame(&mut stream) {
             Ok(Some((corr, payload))) => {
                 shared.in_flight.fetch_add(1, Ordering::SeqCst);
                 conn.queue.lock().push_back((corr, payload));
@@ -437,7 +434,7 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<ConnState>, shared: Arc<ServerSh
                 // reader no longer knows which request is which), then
                 // give up.
                 let mut w = conn.writer.lock();
-                let _ = write_frame(&mut *w, &error_response(&e).encode());
+                let _ = write_frame(&mut *w, 0, &error_response(&e).encode());
                 break;
             }
         }
@@ -506,7 +503,7 @@ fn drain_conn(service: &Arc<dyn FramedService>, shared: &Arc<ServerShared>, conn
             release_conn(shared, &conn);
             return;
         };
-        match Request::decode_traced(&payload) {
+        match Request::decode(&payload) {
             Ok((Request::Hello { secret }, _)) => {
                 let response = match &shared.secret {
                     Some(expected) if *expected == secret => {
@@ -591,7 +588,7 @@ fn drain_conn(service: &Arc<dyn FramedService>, shared: &Arc<ServerShared>, conn
 fn finish_request(shared: &ServerShared, conn: &ConnState, corr: u64, response: Response) {
     let write_ok = {
         let mut w = conn.writer.lock();
-        write_frame_corr(&mut *w, corr, &response.encode()).is_ok()
+        write_frame(&mut *w, corr, &response.encode()).is_ok()
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     if !write_ok {
@@ -774,7 +771,7 @@ struct PipelinedPeer {
     /// `(correlation, payload_bytes)` of unacked submits, oldest first.
     inflight: VecDeque<(u64, usize)>,
     /// Latest credit grant from the receiver; `0` = no information yet
-    /// (nothing acked, or a legacy peer), treated as unconstrained.
+    /// (nothing acked yet), treated as unconstrained.
     credit: u64,
 }
 
@@ -807,8 +804,6 @@ impl PipelinedPeer {
 #[derive(Debug)]
 pub struct Pangead {
     node: StorageNode,
-    /// Shuffle services created over the wire, by name.
-    shuffles: Mutex<FxHashMap<String, ShuffleService>>,
     /// Open peer-repair sessions, by recovery target set. Each session
     /// carries its own lock so appends into one target never block
     /// sessions of unrelated sets behind disk I/O; the outer map lock
@@ -862,7 +857,6 @@ impl Pangead {
         let obs = Obs::with_registry(stats.registry().clone());
         Self {
             node,
-            shuffles: Mutex::new(FxHashMap::default()),
             repairs: Mutex::new(FxHashMap::default()),
             ended: Mutex::new(FxHashMap::default()),
             ingests: Mutex::new(FxHashMap::default()),
@@ -903,7 +897,7 @@ impl Pangead {
     /// many more in-flight push batches this daemon's pool residency
     /// can absorb. Free pool bytes divided by the batch ceiling,
     /// clamped to `[1, MAX_PIPELINE_WINDOW]` — never 0, because 0 is
-    /// the wire's "no information" value (legacy peers) and because a
+    /// the wire's "no information" value and because a
     /// full pool must still admit one batch at a time for the spill
     /// machinery to make progress against.
     fn flow_credit(&self) -> u64 {
@@ -1145,45 +1139,6 @@ impl Pangead {
                 if let Some(set) = self.node.get_set(&set) {
                     self.node.drop_set(set.id())?;
                 }
-                Ok(Response::Ok)
-            }
-            Request::ShuffleCreate {
-                name,
-                partitions,
-                page_size,
-            } => {
-                let mut shuffles = self.shuffles.lock();
-                if shuffles.contains_key(&name) {
-                    return Err(PangeaError::usage(format!(
-                        "shuffle '{name}' already exists"
-                    )));
-                }
-                let mut config = ShuffleConfig::new(partitions);
-                if let Some(ps) = page_size {
-                    config = config.with_page_size(ps as usize);
-                }
-                let service = ShuffleService::create(&self.node, &name, config)?;
-                shuffles.insert(name, service);
-                Ok(Response::Ok)
-            }
-            Request::ShuffleSend {
-                name,
-                partition,
-                records,
-            } => {
-                let service = self.get_shuffle(&name)?;
-                let mut buffer = service.virtual_buffer(PartitionId(partition))?;
-                for rec in &records {
-                    self.stats.record_net(rec.len());
-                    buffer.add_object(rec)?;
-                }
-                buffer.flush()?;
-                Ok(Response::Appended {
-                    records: records.len() as u64,
-                })
-            }
-            Request::ShuffleFinish { name } => {
-                self.get_shuffle(&name)?.finish_writes()?;
                 Ok(Response::Ok)
             }
             Request::Deliver { from: _, payload } => {
@@ -2240,14 +2195,6 @@ impl Pangead {
             .get_set(name)
             .ok_or_else(|| PangeaError::usage(format!("locality set '{name}' not found")))
     }
-
-    fn get_shuffle(&self, name: &str) -> Result<ShuffleService> {
-        self.shuffles
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| PangeaError::usage(format!("shuffle '{name}' not found")))
-    }
 }
 
 impl FramedService for Pangead {
@@ -2422,41 +2369,6 @@ mod tests {
         let d = Pangead::new(node("mgr-reject"));
         match d.handle(Request::MgrListWorkers) {
             Response::Err { message } => assert!(message.contains("pangea-mgr")),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn shuffle_over_dispatch() {
-        let d = Pangead::new(node("shuffle"));
-        assert_eq!(
-            d.handle(Request::ShuffleCreate {
-                name: "wc".into(),
-                partitions: 2,
-                page_size: None,
-            }),
-            Response::Ok
-        );
-        d.handle(Request::ShuffleSend {
-            name: "wc".into(),
-            partition: 0,
-            records: vec![b"alpha".to_vec()],
-        });
-        d.handle(Request::ShuffleSend {
-            name: "wc".into(),
-            partition: 1,
-            records: vec![b"beta".to_vec(), b"gamma".to_vec()],
-        });
-        assert_eq!(
-            d.handle(Request::ShuffleFinish { name: "wc".into() }),
-            Response::Ok
-        );
-        match d.handle(Request::Scan {
-            set: "wc.part1".into(),
-        }) {
-            Response::Records { records } => {
-                assert_eq!(records, vec![b"beta".to_vec(), b"gamma".to_vec()]);
-            }
             other => panic!("{other:?}"),
         }
     }
@@ -3335,8 +3247,10 @@ mod tests {
         let (corr2, p2) = c.ingest_append_submit("out", batch(1)).unwrap();
         let (corr3, p3) = c.ingest_append_submit("out", batch(2)).unwrap();
         assert_eq!(c.pipelined(), 3);
-        // A serial RPC cannot interleave with an open pipeline.
-        assert!(matches!(c.ping(), Err(PangeaError::InvalidUsage(_))));
+        // A plain call interleaves with the open pipeline: its answer is
+        // matched by correlation id, the batches' acks park meanwhile.
+        c.ping().unwrap();
+        assert_eq!(c.pipelined(), 3);
 
         // Await newest-first: earlier responses park until asked for.
         let (a3, _, credit) = c.ingest_append_await(corr3, p3).unwrap();
@@ -3387,7 +3301,8 @@ mod tests {
         // and hangs up. Read it raw — writing first would race the
         // server's close into a connection reset.
         let mut over = TcpStream::connect(server.local_addr()).unwrap();
-        let payload = crate::frame::read_frame(&mut over).unwrap().unwrap();
+        let (corr, payload) = crate::frame::read_frame(&mut over).unwrap().unwrap();
+        assert_eq!(corr, 0, "a connection-level refusal answers no request");
         match Response::decode(&payload).unwrap().into_result() {
             Err(PangeaError::Busy(m)) => assert!(m.contains("cap"), "{m}"),
             other => panic!("expected Busy, got {other:?}"),

@@ -11,18 +11,17 @@
 //! `record_serialization`, so figures comparing the two backends line up
 //! (DESIGN.md §2a).
 //!
-//! This transport deliberately speaks *legacy* correlation-0 frames
-//! (one request in flight per connection, strict-serial): `transfer` is
-//! a single idempotency-guarded round trip, so multiplexing buys it
-//! nothing and the unflagged prefix keeps it compatible with
-//! pre-correlation peers. Pipelined, correlated exchanges (windowed
-//! ingest/repair pushes with credit-based backpressure) live in
-//! [`crate::client::PangeaClient`] instead (DESIGN.md §2i).
+//! Each request is one correlated round trip (correlation id 1, one
+//! request in flight per connection): `transfer` is a single
+//! idempotency-guarded exchange, so multiplexing buys it nothing.
+//! Pipelined exchanges (windowed ingest/repair pushes with credit-based
+//! backpressure) live in [`crate::client::PangeaClient`] instead
+//! (DESIGN.md §2i).
 //!
 //! [`SimNetwork`]: https://docs.rs/pangea-cluster
 //! [`Throttle`]: pangea_common::Throttle
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, FRAME_OVERHEAD};
 use crate::proto::{Request, Response};
 use crate::transport::Transport;
 use pangea_common::{FxHashMap, IoStats, NodeId, PangeaError, Result, Throttle};
@@ -32,6 +31,9 @@ use std::sync::Arc;
 
 /// Pooled idle connections kept per peer.
 const MAX_POOLED_PER_PEER: usize = 4;
+
+/// The correlation id of every request: one is in flight per connection.
+const CORR: u64 = 1;
 
 /// A real TCP cluster interconnect with per-peer connection pooling.
 #[derive(Debug)]
@@ -116,9 +118,9 @@ impl TcpTransport {
     /// count the same way the simulation does).
     pub fn request(&self, to: NodeId, req: &Request) -> Result<Response> {
         let addr = self.addr_of(to)?;
-        let encoded = req.encode();
+        let encoded = req.encode(None);
         self.stats
-            .record_serialization(encoded.len() + crate::frame::FRAME_OVERHEAD);
+            .record_serialization(encoded.len() + FRAME_OVERHEAD);
         // A pooled connection may have been closed by the peer while it
         // sat idle. Retrying is only safe when the peer provably never
         // processed the request: a failed frame write, or a clean EOF
@@ -162,9 +164,9 @@ impl TcpTransport {
         let hello = Request::Hello {
             secret: secret.clone(),
         }
-        .encode();
+        .encode(None);
         self.stats
-            .record_serialization(hello.len() + crate::frame::FRAME_OVERHEAD);
+            .record_serialization(hello.len() + FRAME_OVERHEAD);
         let (resp, stream) = self.round_trip(stream, &hello).map_err(|e| match e {
             RoundTripError::NotProcessed => PangeaError::Io(Arc::new(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -181,7 +183,7 @@ impl TcpTransport {
         mut stream: TcpStream,
         encoded: &[u8],
     ) -> std::result::Result<(Response, TcpStream), RoundTripError> {
-        if let Err(e) = write_frame(&mut stream, encoded) {
+        if let Err(e) = write_frame(&mut stream, CORR, encoded) {
             // The request never fully left this side.
             return Err(match e {
                 PangeaError::Io(_) => RoundTripError::NotProcessed,
@@ -192,13 +194,16 @@ impl TcpTransport {
             // Clean EOF with zero response bytes: the peer closed the
             // idle connection without seeing the request.
             Ok(None) => return Err(RoundTripError::NotProcessed),
-            Ok(Some(p)) => p,
+            // One request in flight: the frame answers it, or is a
+            // connection-level refusal whose typed error surfaces when
+            // the caller converts the response.
+            Ok(Some((_, p))) => p,
             // Mid-response failure: the peer may have executed the
             // request; never silently retry.
             Err(e) => return Err(RoundTripError::Fatal(e)),
         };
         self.stats
-            .record_serialization(payload.len() + crate::frame::FRAME_OVERHEAD);
+            .record_serialization(payload.len() + FRAME_OVERHEAD);
         match Response::decode(&payload) {
             Ok(resp) => Ok((resp, stream)),
             Err(e) => Err(RoundTripError::Fatal(e)),

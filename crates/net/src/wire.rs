@@ -1,5 +1,6 @@
 //! Wire representations of control-plane state: partitioning schemes,
-//! catalog entries, and cluster membership.
+//! catalog entries, and cluster membership — and the [`Wire`] codec
+//! every wire type, protocol messages included, encodes through.
 //!
 //! The in-process catalog (`pangea-cluster`'s `Manager`) stores a
 //! `PartitionScheme` whose key extractor is an arbitrary closure — a UDF
@@ -10,11 +11,215 @@
 //! catalog; `pangea-cluster` offers `hash_field`/`hash_whole`
 //! constructors that carry their spec.
 //!
-//! Encoding follows the [`crate::proto`] conventions: every field is a
-//! length-prefixed record in a `ByteWriter` stream, integers travel as
-//! `u64`, and unknown discriminants decode to [`PangeaError::Corruption`].
+//! ## Encoding
+//!
+//! Every field is a length-prefixed record in a `ByteWriter` stream, one
+//! encoding per Rust type: integers travel as a `u64` record (a `u8` or
+//! `u32` field that does not fit is corruption, never silently
+//! narrowed), strings and byte strings as one record, `Vec<T>` as a
+//! count then each element, `Option<T>` as a `0`/`1` presence record
+//! then the value, tuples field by field. Structs encode their fields in
+//! declaration order; enums a `u64` tag record then the variant's
+//! fields. Each type states its layout once, in a `wire_codec!` row,
+//! and the same row derives both directions. Unknown tags, and values
+//! a type's own check rejects, decode to [`PangeaError::Corruption`].
 
 use pangea_common::{fx_hash64, ByteReader, ByteWriter, PangeaError, Result};
+
+/// A type with one wire encoding. `put` and `get` are inverse by
+/// construction: every implementation is either a primitive below or
+/// generated from a single `wire_codec!` row.
+pub trait Wire: Sized {
+    /// Appends this value's encoding.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Decodes one value, advancing the reader past it.
+    fn get(r: &mut ByteReader<'_>) -> Result<Self>;
+
+    /// How a `Vec<Self>` travels: a count record, then each element.
+    /// `u8` overrides the pair so a byte string is one record.
+    fn put_vec(items: &[Self], w: &mut ByteWriter) {
+        (items.len() as u64).put(w);
+        for item in items {
+            item.put(w);
+        }
+    }
+
+    /// Inverse of [`Wire::put_vec`].
+    fn get_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>> {
+        let n = u64::get(r)?;
+        // Every element spans at least one 4-byte length prefix, so the
+        // remaining input bounds a plausible count: a corrupt count can
+        // never make the decoder reserve more than the frame holds.
+        let mut out = Vec::with_capacity((n as usize).min(r.remaining() / 4));
+        for _ in 0..n {
+            out.push(Self::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! record_wire {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut ByteWriter) {
+                w.write_record(self);
+            }
+
+            fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+                r.read_record()
+            }
+        }
+    )*};
+}
+
+record_wire!(u64, i64, String);
+
+/// Narrow integers travel as a `u64` record; a value that does not fit
+/// the field is corruption.
+fn narrow<T: TryFrom<u64>>(r: &mut ByteReader<'_>, what: &str) -> Result<T> {
+    let v = u64::get(r)?;
+    T::try_from(v).map_err(|_| PangeaError::Corruption(format!("{v} overflows a {what} field")))
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut ByteWriter) {
+        u64::from(*self).put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        narrow(r, "u32")
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, w: &mut ByteWriter) {
+        u64::from(*self).put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        narrow(r, "u8")
+    }
+
+    fn put_vec(items: &[Self], w: &mut ByteWriter) {
+        w.write_bytes(items);
+    }
+
+    fn get_vec(r: &mut ByteReader<'_>) -> Result<Vec<Self>> {
+        Ok(r.read_bytes()?.to_vec())
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        T::put_vec(self, w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        T::get_vec(r)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        u64::from(self.is_some()).put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        match u64::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            other => Err(PangeaError::Corruption(format!(
+                "option presence flag {other} is neither 0 nor 1"
+            ))),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Decodes one `T` that must span the rest of `r`: truncation and
+/// trailing bytes are both corruption.
+pub(crate) fn decode_rest<T: Wire>(r: &mut ByteReader<'_>) -> Result<T> {
+    let v = T::get(r)?;
+    if r.remaining() != 0 {
+        return Err(PangeaError::Corruption(format!(
+            "{} trailing bytes after a complete message",
+            r.remaining()
+        )));
+    }
+    Ok(v)
+}
+
+/// Implements [`Wire`] for a struct or enum from one row naming its
+/// layout — the only place that layout is written:
+///
+/// * `wire_codec!(struct T { a, b, c })` — fields in order;
+/// * `wire_codec!(enum T { 1 => Unit, 2 => Named { a, b }, 3 => Tuple(x) })`
+///   — a `u64` tag record, then the variant's fields in order.
+///
+/// An optional `where check` names a `fn(Self) -> Result<Self>` run on
+/// every decoded value, for invariants the types alone cannot state.
+macro_rules! wire_codec {
+    (struct $T:ident $(where $check:path)? { $($f:ident),* $(,)? }) => {
+        impl $crate::wire::Wire for $T {
+            fn put(&self, w: &mut pangea_common::ByteWriter) {
+                $( $crate::wire::Wire::put(&self.$f, w); )*
+            }
+
+            fn get(r: &mut pangea_common::ByteReader<'_>) -> pangea_common::Result<Self> {
+                let v = Self { $( $f: $crate::wire::Wire::get(r)? ),* };
+                $( let v = $check(v)?; )?
+                Ok(v)
+            }
+        }
+    };
+    (enum $T:ident $(where $check:path)? {
+        $( $tag:literal => $V:ident $({ $($f:ident),* })? $(( $($p:ident),* ))? ),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $T {
+            fn put(&self, w: &mut pangea_common::ByteWriter) {
+                match self {
+                    $( Self::$V $({ $($f),* })? $(( $($p),* ))? => {
+                        w.write_record(&($tag as u64));
+                        $($( $crate::wire::Wire::put($f, w); )*)?
+                        $($( $crate::wire::Wire::put($p, w); )*)?
+                    } )*
+                }
+            }
+
+            #[deny(unreachable_patterns)]
+            fn get(r: &mut pangea_common::ByteReader<'_>) -> pangea_common::Result<Self> {
+                let v = match <u64 as $crate::wire::Wire>::get(r)? {
+                    $( $tag => Self::$V
+                        $({ $( $f: $crate::wire::Wire::get(r)? ),* })?
+                        $(( $({ let $p = $crate::wire::Wire::get(r)?; $p }),* ))?, )*
+                    other => {
+                        return Err(pangea_common::PangeaError::Corruption(format!(
+                            concat!("unknown ", stringify!($T), " tag {}"),
+                            other
+                        )))
+                    }
+                };
+                $( let v = $check(v)?; )?
+                Ok(v)
+            }
+        }
+    };
+}
+pub(crate) use wire_codec;
 
 /// A declarative, wire-safe key extractor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,37 +236,12 @@ pub enum KeySpec {
     },
 }
 
-const KEY_WHOLE: u64 = 1;
-const KEY_FIELD: u64 = 2;
+wire_codec!(enum KeySpec {
+    1 => WholeRecord,
+    2 => Field { delim, index },
+});
 
 impl KeySpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        match self {
-            Self::WholeRecord => w.write_record(&KEY_WHOLE),
-            Self::Field { delim, index } => {
-                w.write_record(&KEY_FIELD);
-                w.write_record(&(*delim as u64));
-                w.write_record(&(*index as u64));
-            }
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
-            KEY_WHOLE => Self::WholeRecord,
-            KEY_FIELD => Self::Field {
-                delim: r.read_record::<u64>()? as u8,
-                index: r.read_record::<u64>()? as u32,
-            },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown key-spec tag {other}"
-                )))
-            }
-        })
-    }
-
     /// Extracts this spec's key from a record's bytes.
     pub fn key_of(&self, record: &[u8]) -> Vec<u8> {
         self.key_slice(record).to_vec()
@@ -101,56 +281,23 @@ pub enum SchemeSpec {
     },
 }
 
-const SCHEME_HASH: u64 = 1;
-const SCHEME_RR: u64 = 2;
+wire_codec!(enum SchemeSpec where Self::checked {
+    1 => Hash { key_name, partitions, key },
+    2 => RoundRobin { partitions },
+});
 
 impl SchemeSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        match self {
-            Self::Hash {
-                key_name,
-                partitions,
-                key,
-            } => {
-                w.write_record(&SCHEME_HASH);
-                w.write_record(key_name);
-                w.write_record(&(*partitions as u64));
-                key.put(w);
-            }
-            Self::RoundRobin { partitions } => {
-                w.write_record(&SCHEME_RR);
-                w.write_record(&(*partitions as u64));
-            }
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        let spec = match tag {
-            SCHEME_HASH => Self::Hash {
-                key_name: r.read_record()?,
-                partitions: r.read_record::<u64>()? as u32,
-                key: KeySpec::get(r)?,
-            },
-            SCHEME_RR => Self::RoundRobin {
-                partitions: r.read_record::<u64>()? as u32,
-            },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown scheme tag {other}"
-                )))
-            }
-        };
-        // The driver-side `PartitionScheme` clamps `partitions` to ≥ 1 at
-        // construction; a zero can therefore only reach the wire from a
-        // hand-crafted or corrupted frame, and silently clamping it here
-        // would let the two sides disagree about the routing rule.
-        if spec.raw_partitions() == 0 {
+    /// The driver-side `PartitionScheme` clamps `partitions` to ≥ 1 at
+    /// construction; a zero can therefore only reach the wire from a
+    /// hand-crafted or corrupted frame, and silently clamping it here
+    /// would let the two sides disagree about the routing rule.
+    fn checked(self) -> Result<Self> {
+        if self.raw_partitions() == 0 {
             return Err(PangeaError::Corruption(
                 "partition scheme with zero partitions".into(),
             ));
         }
-        Ok(spec)
+        Ok(self)
     }
 
     fn raw_partitions(&self) -> u32 {
@@ -218,46 +365,13 @@ pub enum RepairFilter {
     Absent,
 }
 
-const FILTER_LOST: u64 = 1;
-const FILTER_ALL: u64 = 2;
-const FILTER_ABSENT: u64 = 3;
+wire_codec!(enum RepairFilter {
+    1 => Lost { scheme, failed, nodes },
+    2 => All,
+    3 => Absent,
+});
 
 impl RepairFilter {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        match self {
-            Self::Lost {
-                scheme,
-                failed,
-                nodes,
-            } => {
-                w.write_record(&FILTER_LOST);
-                scheme.put(w);
-                w.write_record(&(*failed as u64));
-                w.write_record(&(*nodes as u64));
-            }
-            Self::All => w.write_record(&FILTER_ALL),
-            Self::Absent => w.write_record(&FILTER_ABSENT),
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
-            FILTER_LOST => Self::Lost {
-                scheme: SchemeSpec::get(r)?,
-                failed: r.read_record::<u64>()? as u32,
-                nodes: r.read_record::<u64>()? as u32,
-            },
-            FILTER_ALL => Self::All,
-            FILTER_ABSENT => Self::Absent,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown repair-filter tag {other}"
-                )))
-            }
-        })
-    }
-
     /// Compiles the filter into a per-record predicate: `true` means the
     /// record must be shipped. Mirrors `PartitionScheme::node_of` exactly
     /// (`hash(key) % partitions`, partitions striping over nodes), so a
@@ -375,41 +489,16 @@ pub enum CmpOp {
     Ne,
 }
 
-const CMP_LT: u64 = 1;
-const CMP_LE: u64 = 2;
-const CMP_GT: u64 = 3;
-const CMP_GE: u64 = 4;
-const CMP_EQ: u64 = 5;
-const CMP_NE: u64 = 6;
+wire_codec!(enum CmpOp {
+    1 => Lt,
+    2 => Le,
+    3 => Gt,
+    4 => Ge,
+    5 => Eq,
+    6 => Ne,
+});
 
 impl CmpOp {
-    fn wire_tag(self) -> u64 {
-        match self {
-            Self::Lt => CMP_LT,
-            Self::Le => CMP_LE,
-            Self::Gt => CMP_GT,
-            Self::Ge => CMP_GE,
-            Self::Eq => CMP_EQ,
-            Self::Ne => CMP_NE,
-        }
-    }
-
-    fn from_wire(tag: u64) -> Result<Self> {
-        Ok(match tag {
-            CMP_LT => Self::Lt,
-            CMP_LE => Self::Le,
-            CMP_GT => Self::Gt,
-            CMP_GE => Self::Ge,
-            CMP_EQ => Self::Eq,
-            CMP_NE => Self::Ne,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown comparison-op tag {other}"
-                )))
-            }
-        })
-    }
-
     /// Evaluates `lhs <op> rhs`.
     pub fn eval(self, lhs: i64, rhs: i64) -> bool {
         match self {
@@ -431,54 +520,13 @@ pub(crate) fn parse_i64(bytes: &[u8]) -> Option<i64> {
     std::str::from_utf8(bytes).ok()?.parse().ok()
 }
 
-const FILTER_KEY_EQUALS: u64 = 1;
-const FILTER_KEY_PRESENT: u64 = 2;
-const FILTER_KEY_COMPARE: u64 = 3;
+wire_codec!(enum FilterSpec {
+    1 => KeyEquals { key, value },
+    2 => KeyPresent { key },
+    3 => KeyCompare { key, cmp, value },
+});
 
 impl FilterSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        match self {
-            Self::KeyEquals { key, value } => {
-                w.write_record(&FILTER_KEY_EQUALS);
-                key.put(w);
-                w.write_bytes(value);
-            }
-            Self::KeyPresent { key } => {
-                w.write_record(&FILTER_KEY_PRESENT);
-                key.put(w);
-            }
-            Self::KeyCompare { key, cmp, value } => {
-                w.write_record(&FILTER_KEY_COMPARE);
-                key.put(w);
-                w.write_record(&cmp.wire_tag());
-                w.write_record(&(*value as u64));
-            }
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
-            FILTER_KEY_EQUALS => Self::KeyEquals {
-                key: KeySpec::get(r)?,
-                value: r.read_bytes()?.to_vec(),
-            },
-            FILTER_KEY_PRESENT => Self::KeyPresent {
-                key: KeySpec::get(r)?,
-            },
-            FILTER_KEY_COMPARE => Self::KeyCompare {
-                key: KeySpec::get(r)?,
-                cmp: CmpOp::from_wire(r.read_record()?)?,
-                value: r.read_record::<u64>()? as i64,
-            },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown filter-spec tag {other}"
-                )))
-            }
-        })
-    }
-
     /// True when `record` passes the filter (allocation-free).
     pub fn keeps(&self, record: &[u8]) -> bool {
         match self {
@@ -517,59 +565,14 @@ pub enum EmitSpec {
     },
 }
 
-const EMIT_RECORD: u64 = 1;
-const EMIT_KEY: u64 = 2;
-const EMIT_FIELDS: u64 = 3;
-const EMIT_TOKENS: u64 = 4;
+wire_codec!(enum EmitSpec {
+    1 => Record,
+    2 => Key(key),
+    3 => Fields { delim, indices },
+    4 => Tokens { delim },
+});
 
 impl EmitSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        match self {
-            Self::Record => w.write_record(&EMIT_RECORD),
-            Self::Key(key) => {
-                w.write_record(&EMIT_KEY);
-                key.put(w);
-            }
-            Self::Fields { delim, indices } => {
-                w.write_record(&EMIT_FIELDS);
-                w.write_record(&(*delim as u64));
-                w.write_record(&(indices.len() as u64));
-                for i in indices {
-                    w.write_record(&(*i as u64));
-                }
-            }
-            Self::Tokens { delim } => {
-                w.write_record(&EMIT_TOKENS);
-                w.write_record(&(*delim as u64));
-            }
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
-            EMIT_RECORD => Self::Record,
-            EMIT_KEY => Self::Key(KeySpec::get(r)?),
-            EMIT_FIELDS => {
-                let delim = r.read_record::<u64>()? as u8;
-                let n: u64 = r.read_record()?;
-                let mut indices = Vec::with_capacity(n.min(1 << 16) as usize);
-                for _ in 0..n {
-                    indices.push(r.read_record::<u64>()? as u32);
-                }
-                Self::Fields { delim, indices }
-            }
-            EMIT_TOKENS => Self::Tokens {
-                delim: r.read_record::<u64>()? as u8,
-            },
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown emit-spec tag {other}"
-                )))
-            }
-        })
-    }
-
     /// Runs `f` over every output this spec emits for `record`, in
     /// order. The single-emit variants call `f` exactly once;
     /// [`EmitSpec::Tokens`] calls it once per non-empty token (possibly
@@ -701,28 +704,9 @@ impl MapSpec {
         }
         Some(self.emit.emit(record))
     }
-
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&(self.filter.is_some() as u64));
-        if let Some(f) = &self.filter {
-            f.put(w);
-        }
-        self.emit.put(w);
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let has_filter: u64 = r.read_record()?;
-        let filter = if has_filter != 0 {
-            Some(FilterSpec::get(r)?)
-        } else {
-            None
-        };
-        Ok(Self {
-            filter,
-            emit: EmitSpec::get(r)?,
-        })
-    }
 }
+
+wire_codec!(struct MapSpec { filter, emit });
 
 /// The fold applied by a [`ReduceSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -737,10 +721,12 @@ pub enum ReduceOp {
     Max,
 }
 
-const REDUCE_COUNT: u64 = 1;
-const REDUCE_SUM: u64 = 2;
-const REDUCE_MIN: u64 = 3;
-const REDUCE_MAX: u64 = 4;
+wire_codec!(enum ReduceOp {
+    1 => Count,
+    2 => Sum,
+    3 => Min,
+    4 => Max,
+});
 
 /// A declarative, wire-codable keyed reduction over the map's output:
 /// count / sum / min / max of a delimited numeric field, grouped by the
@@ -927,62 +913,20 @@ impl ReduceSpec {
         Ok((&record[..split], value))
     }
 
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&match self.op {
-            ReduceOp::Count => REDUCE_COUNT,
-            ReduceOp::Sum => REDUCE_SUM,
-            ReduceOp::Min => REDUCE_MIN,
-            ReduceOp::Max => REDUCE_MAX,
-        });
-        self.key.put(w);
-        w.write_record(&(self.delim as u64));
-        w.write_record(&(self.value_index as u64));
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let op = match r.read_record::<u64>()? {
-            REDUCE_COUNT => ReduceOp::Count,
-            REDUCE_SUM => ReduceOp::Sum,
-            REDUCE_MIN => ReduceOp::Min,
-            REDUCE_MAX => ReduceOp::Max,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown reduce-op tag {other}"
-                )))
-            }
-        };
-        let key = KeySpec::get(r)?;
-        let delim = r.read_record::<u64>()? as u8;
-        if !Self::delim_ok(delim) {
+    /// Rejects a decoded delimiter [`ReduceSpec::delim_ok`] refuses.
+    fn checked(self) -> Result<Self> {
+        if !Self::delim_ok(self.delim) {
             return Err(PangeaError::Corruption(format!(
-                "reduce delimiter {delim:#04x} can appear inside a rendered \
-                 decimal value; pick a non-digit, non-'-' byte"
+                "reduce delimiter {:#04x} can appear inside a rendered \
+                 decimal value; pick a non-digit, non-'-' byte",
+                self.delim
             )));
         }
-        Ok(Self {
-            key,
-            op,
-            delim,
-            value_index: r.read_record::<u64>()? as u32,
-        })
-    }
-
-    pub(crate) fn put_opt(spec: &Option<ReduceSpec>, w: &mut ByteWriter) {
-        w.write_record(&(spec.is_some() as u64));
-        if let Some(spec) = spec {
-            spec.put(w);
-        }
-    }
-
-    pub(crate) fn get_opt(r: &mut ByteReader<'_>) -> Result<Option<Self>> {
-        let present: u64 = r.read_record()?;
-        Ok(if present != 0 {
-            Some(Self::get(r)?)
-        } else {
-            None
-        })
+        Ok(self)
     }
 }
+
+wire_codec!(struct ReduceSpec where Self::checked { key, op, delim, value_index });
 
 /// One map task as shipped to a worker (`Request::TaskRun`): scan the
 /// local share of `input`, apply `map`, route each output record by
@@ -1027,50 +971,17 @@ pub struct TaskSpec {
     pub window: u32,
 }
 
-impl TaskSpec {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&self.input);
-        w.write_record(&self.output);
-        self.map.put(w);
-        ReduceSpec::put_opt(&self.reduce, w);
-        self.scheme.put(w);
-        w.write_record(&(self.nodes as u64));
-        w.write_record(&(self.source as u64));
-        w.write_record(&(self.dests.len() as u64));
-        for (node, addr) in &self.dests {
-            w.write_record(&(*node as u64));
-            w.write_record(addr);
-        }
-        w.write_record(&(self.window as u64));
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let input = r.read_record()?;
-        let output = r.read_record()?;
-        let map = MapSpec::get(r)?;
-        let reduce = ReduceSpec::get_opt(r)?;
-        let scheme = SchemeSpec::get(r)?;
-        let nodes = r.read_record::<u64>()? as u32;
-        let source = r.read_record::<u64>()? as u32;
-        let n: u64 = r.read_record()?;
-        let mut dests = Vec::with_capacity(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            dests.push((r.read_record::<u64>()? as u32, r.read_record()?));
-        }
-        let window = r.read_record::<u64>()? as u32;
-        Ok(Self {
-            input,
-            output,
-            map,
-            reduce,
-            scheme,
-            nodes,
-            source,
-            dests,
-            window,
-        })
-    }
-}
+wire_codec!(struct TaskSpec {
+    input,
+    output,
+    map,
+    reduce,
+    scheme,
+    nodes,
+    source,
+    dests,
+    window,
+});
 
 /// Outcome of one shipped map task, as acknowledged over the wire
 /// (`Response::TaskDone`) and aggregated by the map-shuffle engine.
@@ -1133,29 +1044,13 @@ pub struct WireCatalogEntry {
     pub bytes: u64,
 }
 
-impl WireCatalogEntry {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&self.name);
-        self.scheme.put(w);
-        // 0 marks "no group"; real group ids start at 1.
-        w.write_record(&self.group.unwrap_or(0));
-        w.write_record(&self.objects);
-        w.write_record(&self.bytes);
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let name = r.read_record()?;
-        let scheme = SchemeSpec::get(r)?;
-        let group: u64 = r.read_record()?;
-        Ok(Self {
-            name,
-            scheme,
-            group: (group != 0).then_some(group),
-            objects: r.read_record()?,
-            bytes: r.read_record()?,
-        })
-    }
-}
+wire_codec!(struct WireCatalogEntry {
+    name,
+    scheme,
+    group,
+    objects,
+    bytes,
+});
 
 /// A worker's liveness state at the manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1168,9 +1063,11 @@ pub enum WorkerState {
     Left,
 }
 
-const STATE_ALIVE: u64 = 1;
-const STATE_DEAD: u64 = 2;
-const STATE_LEFT: u64 = 3;
+wire_codec!(enum WorkerState {
+    1 => Alive,
+    2 => Dead,
+    3 => Left,
+});
 
 /// One worker's membership record as served by `pangea-mgr`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1185,44 +1082,12 @@ pub struct WireWorker {
     pub state: WorkerState,
 }
 
-impl WireWorker {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&(self.node as u64));
-        w.write_record(&self.addr);
-        w.write_record(&self.epoch);
-        w.write_record(&match self.state {
-            WorkerState::Alive => STATE_ALIVE,
-            WorkerState::Dead => STATE_DEAD,
-            WorkerState::Left => STATE_LEFT,
-        });
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let node = r.read_record::<u64>()? as u32;
-        let addr = r.read_record()?;
-        let epoch = r.read_record()?;
-        let state = match r.read_record::<u64>()? {
-            STATE_ALIVE => WorkerState::Alive,
-            STATE_DEAD => WorkerState::Dead,
-            STATE_LEFT => WorkerState::Left,
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown worker state {other}"
-                )))
-            }
-        };
-        Ok(Self {
-            node,
-            addr,
-            epoch,
-            state,
-        })
-    }
-}
-
-const METRIC_COUNTER: u64 = 1;
-const METRIC_GAUGE: u64 = 2;
-const METRIC_HISTOGRAM: u64 = 3;
+wire_codec!(struct WireWorker {
+    node,
+    addr,
+    epoch,
+    state,
+});
 
 /// One named metric in a `MetricsDump` reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1263,72 +1128,13 @@ impl WireMetric {
             | Self::Histogram { name, .. } => name,
         }
     }
-
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        match self {
-            Self::Counter { name, value } => {
-                w.write_record(&METRIC_COUNTER);
-                w.write_record(name);
-                w.write_record(value);
-            }
-            Self::Gauge { name, value } => {
-                w.write_record(&METRIC_GAUGE);
-                w.write_record(name);
-                w.write_record(value);
-            }
-            Self::Histogram {
-                name,
-                count,
-                sum,
-                buckets,
-            } => {
-                w.write_record(&METRIC_HISTOGRAM);
-                w.write_record(name);
-                w.write_record(count);
-                w.write_record(sum);
-                w.write_record(&(buckets.len() as u64));
-                for b in buckets {
-                    w.write_record(b);
-                }
-            }
-        }
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        let tag: u64 = r.read_record()?;
-        Ok(match tag {
-            METRIC_COUNTER => Self::Counter {
-                name: r.read_record()?,
-                value: r.read_record()?,
-            },
-            METRIC_GAUGE => Self::Gauge {
-                name: r.read_record()?,
-                value: r.read_record()?,
-            },
-            METRIC_HISTOGRAM => {
-                let name = r.read_record()?;
-                let count = r.read_record()?;
-                let sum = r.read_record()?;
-                let n: u64 = r.read_record()?;
-                let mut buckets = Vec::with_capacity(n.min(1 << 10) as usize);
-                for _ in 0..n {
-                    buckets.push(r.read_record()?);
-                }
-                Self::Histogram {
-                    name,
-                    count,
-                    sum,
-                    buckets,
-                }
-            }
-            other => {
-                return Err(PangeaError::Corruption(format!(
-                    "unknown wire-metric tag {other}"
-                )))
-            }
-        })
-    }
 }
+
+wire_codec!(enum WireMetric {
+    1 => Counter { name, value },
+    2 => Gauge { name, value },
+    3 => Histogram { name, count, sum, buckets },
+});
 
 /// One retained span record in a `MetricsDump` reply (the wire form of
 /// `pangea_obs::SpanRecord`, plus its ring sequence number for cursor
@@ -1357,35 +1163,18 @@ pub struct WireSpan {
     pub outcome: String,
 }
 
-impl WireSpan {
-    pub(crate) fn put(&self, w: &mut ByteWriter) {
-        w.write_record(&self.seq);
-        w.write_record(&self.job);
-        w.write_record(&self.span);
-        w.write_record(&self.parent);
-        w.write_record(&self.op);
-        w.write_record(&self.peer);
-        w.write_record(&self.start_ns);
-        w.write_record(&self.end_ns);
-        w.write_record(&self.bytes);
-        w.write_record(&self.outcome);
-    }
-
-    pub(crate) fn get(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(Self {
-            seq: r.read_record()?,
-            job: r.read_record()?,
-            span: r.read_record()?,
-            parent: r.read_record()?,
-            op: r.read_record()?,
-            peer: r.read_record()?,
-            start_ns: r.read_record()?,
-            end_ns: r.read_record()?,
-            bytes: r.read_record()?,
-            outcome: r.read_record()?,
-        })
-    }
-}
+wire_codec!(struct WireSpan {
+    seq,
+    job,
+    span,
+    parent,
+    op,
+    peer,
+    start_ns,
+    end_ns,
+    bytes,
+    outcome,
+});
 
 #[cfg(test)]
 mod tests {
@@ -1468,6 +1257,40 @@ mod tests {
         assert!(SchemeSpec::get(&mut ByteReader::new(&bytes)).is_err());
         assert!(KeySpec::get(&mut ByteReader::new(&bytes)).is_err());
         assert!(RepairFilter::get(&mut ByteReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn out_of_range_key_spec_fields_are_corruption_not_narrowed() {
+        // A `Field` index of 2^32 + 1 must be refused, not narrowed to
+        // index 1.
+        let mut w = ByteWriter::new();
+        w.write_record(&2u64);
+        w.write_record(&u64::from(b'|'));
+        w.write_record(&((1u64 << 32) + 1));
+        match KeySpec::get(&mut ByteReader::new(w.as_bytes())) {
+            Err(PangeaError::Corruption(m)) => assert!(m.contains("u32"), "{m}"),
+            other => panic!("an index past u32 must not decode: {other:?}"),
+        }
+        // Likewise a delimiter past u8.
+        let mut w = ByteWriter::new();
+        w.write_record(&2u64);
+        w.write_record(&256u64);
+        w.write_record(&1u64);
+        assert!(matches!(
+            KeySpec::get(&mut ByteReader::new(w.as_bytes())),
+            Err(PangeaError::Corruption(_))
+        ));
+    }
+
+    #[test]
+    fn option_presence_flags_are_strict() {
+        let mut w = ByteWriter::new();
+        w.write_record(&2u64);
+        w.write_record(&5u64);
+        assert!(matches!(
+            Option::<u64>::get(&mut ByteReader::new(w.as_bytes())),
+            Err(PangeaError::Corruption(_))
+        ));
     }
 
     fn roundtrip_filter(f: RepairFilter) {

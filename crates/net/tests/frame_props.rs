@@ -1,12 +1,11 @@
-//! Property tests over the wire framing and the protocol codec:
-//! round-trips for arbitrary payloads, corruption on truncation at every
-//! boundary, and oversized-frame rejection.
+//! Property tests over the wire framing and the protocol codec: the one
+//! correlated frame layout, round-trips for arbitrary messages with and
+//! without a trace context, corruption on truncation at every boundary
+//! and on trailing bytes, and oversized-frame rejection.
 
-use pangea_common::PangeaError;
-use pangea_net::frame::{
-    read_frame, read_frame_corr, write_frame, write_frame_corr, FRAME_CORR_OVERHEAD,
-    FRAME_OVERHEAD, MAX_FRAME,
-};
+use pangea_common::{ByteWriter, PangeaError};
+use pangea_net::frame::{read_frame, write_frame, FRAME_OVERHEAD, MAX_FRAME};
+use pangea_net::wire::Wire;
 use pangea_net::{
     CmpOp, EmitSpec, FilterSpec, KeySpec, MapSpec, ReduceOp, ReduceSpec, RepairFilter, Request,
     Response, SchemeSpec, TaskSpec, TraceCtx, WireCatalogEntry, WireMetric, WireSpan, WireWorker,
@@ -121,18 +120,171 @@ fn state_of(tag: u8) -> WorkerState {
     }
 }
 
-fn roundtrip_req(req: Request) {
+/// Frames one request payload under `corr`, unframes it, and decodes it.
+fn reframe_req(
+    corr: u64,
+    ctx: Option<TraceCtx>,
+    req: &Request,
+) -> (u64, Request, Option<TraceCtx>) {
     let mut buf = Vec::new();
-    write_frame(&mut buf, &req.encode()).unwrap();
-    let unframed = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
-    assert_eq!(Request::decode(&unframed).unwrap(), req);
+    write_frame(&mut buf, corr, &req.encode(ctx)).unwrap();
+    let (got_corr, unframed) = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
+    let (back, got_ctx) = Request::decode(&unframed).unwrap();
+    (got_corr, back, got_ctx)
+}
+
+fn roundtrip_req(req: Request) {
+    assert_eq!(reframe_req(7, None, &req), (7, req, None));
 }
 
 fn roundtrip_resp(resp: Response) {
     let mut buf = Vec::new();
-    write_frame(&mut buf, &resp.encode()).unwrap();
-    let unframed = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
+    write_frame(&mut buf, 7, &resp.encode()).unwrap();
+    let (corr, unframed) = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
+    assert_eq!(corr, 7);
     assert_eq!(Response::decode(&unframed).unwrap(), resp);
+}
+
+/// One arbitrary request of every kind, picked by `sel` and filled from
+/// the raw materials — the generator behind the whole-protocol property.
+fn any_request(sel: u8, name: &[u8], n: [u64; 3], records: &[Vec<u8>], key: KeySpec) -> Request {
+    let set = ident(name);
+    let scheme = scheme_spec(name, n[0] as u32, n[1].is_multiple_of(2), key);
+    match sel % 37 {
+        0 => Request::Ping,
+        1 => Request::Hello { secret: set },
+        2 => Request::CreateSet {
+            name: set,
+            durability: "write-back".into(),
+            page_size: n[0].is_multiple_of(2).then_some(n[1]),
+        },
+        3 => Request::Append {
+            set,
+            records: records.to_vec(),
+        },
+        4 => Request::PageNumbers { set },
+        5 => Request::FetchPage { set, num: n[0] },
+        6 => Request::Scan { set },
+        7 => Request::Deliver {
+            from: n[0] as u32,
+            payload: records.concat(),
+        },
+        8 => Request::Stats,
+        9 => Request::DropSet { set },
+        10 => Request::Count { set },
+        11 => Request::HashList {
+            set,
+            start_page: n[0],
+            start_record: n[1],
+        },
+        12 => Request::RecoverBegin {
+            set,
+            present_from: records.iter().map(|r| ident(r)).collect(),
+        },
+        13 => Request::RecoverAppend {
+            set,
+            records: records.to_vec(),
+        },
+        14 => Request::RecoverEnd { set },
+        15 => Request::RepairLedger { set, start: n[2] },
+        16 => Request::RecoverPush {
+            source_set: set.clone(),
+            target_set: set,
+            target_addr: "127.0.0.1:7781".into(),
+            filter: RepairFilter::Lost {
+                scheme,
+                failed: n[1] as u32,
+                nodes: n[2] as u32,
+            },
+        },
+        17 => Request::TaskRun {
+            spec: TaskSpec {
+                input: set.clone(),
+                output: set,
+                map: MapSpec::extract(key),
+                reduce: reduce_spec(n[2] as u8, key, b'|', n[1] as u32),
+                scheme,
+                nodes: n[0] as u32,
+                source: n[1] as u32,
+                dests: records.iter().map(|r| (r.len() as u32, ident(r))).collect(),
+                window: n[2] as u32,
+            },
+        },
+        18 => Request::IngestBegin {
+            set,
+            reduce: reduce_spec(n[0] as u8, key, b'|', n[1] as u32),
+        },
+        19 => Request::IngestAppend {
+            set,
+            entries: records
+                .iter()
+                .map(|r| (n[0] ^ r.len() as u64, r.clone()))
+                .collect(),
+        },
+        20 => Request::IngestEnd { set },
+        21 => Request::MgrRegisterWorker {
+            addr: set,
+            slot: (n[0] % 2 == 1).then_some(n[1]),
+        },
+        22 => Request::MgrHeartbeat {
+            node: n[0] as u32,
+            epoch: n[1],
+        },
+        23 => Request::MgrDeregisterWorker {
+            node: n[0] as u32,
+            epoch: n[1],
+        },
+        24 => Request::MgrListWorkers,
+        25 => Request::MgrRegisterSet { name: set, scheme },
+        26 => Request::MgrDeregisterSet { name: set },
+        27 => Request::MgrEntry { name: set },
+        28 => Request::MgrSetNames,
+        29 => Request::MgrAddStats {
+            name: set,
+            objects: n[0],
+            bytes: n[1],
+        },
+        30 => Request::MgrLinkReplicas {
+            a: set.clone(),
+            b: set,
+        },
+        31 => Request::MgrGroupMembers { group: n[0] },
+        32 => Request::MgrGroups,
+        33 => Request::MgrBestReplica {
+            set: set.clone(),
+            key: set,
+        },
+        34 => Request::MetricsDump {
+            metrics_start: n[0],
+            spans_start: n[1],
+        },
+        35 => Request::TraceQuery {
+            job: n[0],
+            start: n[1],
+        },
+        _ => Request::TracePush {
+            node: set,
+            spans: Vec::new(),
+        },
+    }
+}
+
+/// The size the one frame layout promises: a traced `IngestAppend`
+/// costs its message body plus 28 B — a 12 B frame header (length,
+/// correlation) and the 16 B trace field.
+#[test]
+fn traced_ingest_append_frame_is_body_plus_28_bytes() {
+    let req = Request::IngestAppend {
+        set: "words".into(),
+        entries: vec![(7, b"the".to_vec()), (9, b"quick".to_vec())],
+    };
+    let mut body = ByteWriter::new();
+    req.put(&mut body);
+    let mut buf = Vec::new();
+    let ctx = TraceCtx { job: 3, span: 4 };
+    write_frame(&mut buf, 1, &req.encode(Some(ctx))).unwrap();
+    assert_eq!(FRAME_OVERHEAD, 12);
+    assert_eq!(buf.len(), body.len() + 28);
 }
 
 /// A page (or repair batch) reply bigger than one frame is refused on
@@ -144,7 +296,7 @@ fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
         bytes: vec![7u8; MAX_FRAME + 1],
     };
     let mut buf = Vec::new();
-    match write_frame(&mut buf, &page.encode()) {
+    match write_frame(&mut buf, 1, &page.encode()) {
         Err(PangeaError::InvalidUsage(m)) => assert!(m.contains("exceeds")),
         other => panic!("oversized page must be refused, got {other:?}"),
     }
@@ -154,7 +306,7 @@ fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
         set: "users".into(),
         records: vec![vec![0u8; MAX_FRAME / 2]; 3],
     };
-    match write_frame(&mut buf, &batch.encode()) {
+    match write_frame(&mut buf, 1, &batch.encode(None)) {
         Err(PangeaError::InvalidUsage(_)) => {}
         other => panic!("oversized repair batch must be refused, got {other:?}"),
     }
@@ -164,7 +316,7 @@ fn oversized_page_and_repair_replies_are_rejected_at_the_frame() {
         set: "words".into(),
         entries: vec![(7, vec![0u8; MAX_FRAME / 2]); 3],
     };
-    match write_frame(&mut buf, &ingest.encode()) {
+    match write_frame(&mut buf, 1, &ingest.encode(None)) {
         Err(PangeaError::InvalidUsage(_)) => {}
         other => panic!("oversized ingest batch must be refused, got {other:?}"),
     }
@@ -191,7 +343,7 @@ fn zero_partition_scheme_specs_are_rejected_at_decode() {
             name: "bad".into(),
             scheme: spec,
         }
-        .encode();
+        .encode(None);
         match Request::decode(&enc) {
             Err(PangeaError::Corruption(m)) => {
                 assert!(m.contains("zero partitions"), "{m}");
@@ -218,7 +370,7 @@ fn ambiguous_reduce_delimiters_are_rejected_at_decode() {
                 value_index: 0,
             }),
         }
-        .encode();
+        .encode(None);
         match Request::decode(&enc) {
             Err(PangeaError::Corruption(m)) => assert!(m.contains("delimiter"), "{m}"),
             other => panic!("delim {delim:#04x} must not decode: {other:?}"),
@@ -228,33 +380,11 @@ fn ambiguous_reduce_delimiters_are_rejected_at_decode() {
 }
 
 proptest! {
-    /// Any sequence of payloads frames and unframes identically, in
-    /// order, consuming exactly the overhead the contract names.
+    /// Any sequence of `(correlation, payload)` frames unframes
+    /// identically, in order, consuming exactly the overhead the
+    /// contract names.
     #[test]
     fn frames_roundtrip_in_order(
-        payloads in prop::collection::vec(
-            prop::collection::vec(any::<u8>(), 0..512),
-            0..20,
-        )
-    ) {
-        let mut buf = Vec::new();
-        for p in &payloads {
-            write_frame(&mut buf, p).unwrap();
-        }
-        let total: usize = payloads.iter().map(|p| p.len() + FRAME_OVERHEAD).sum();
-        prop_assert_eq!(buf.len(), total);
-        let mut cur = Cursor::new(&buf);
-        for p in &payloads {
-            prop_assert_eq!(&read_frame(&mut cur).unwrap().unwrap(), p);
-        }
-        prop_assert!(read_frame(&mut cur).unwrap().is_none());
-    }
-
-    /// Correlated frames round-trip id and payload exactly, in order,
-    /// and correlation 0 is byte-identical to a legacy frame — the
-    /// header stays version-tolerant in both directions.
-    #[test]
-    fn correlated_frames_roundtrip_in_order(
         frames in prop::collection::vec(
             (any::<u64>(), prop::collection::vec(any::<u8>(), 0..512)),
             0..20,
@@ -262,85 +392,45 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         for (corr, p) in &frames {
-            write_frame_corr(&mut buf, *corr, p).unwrap();
+            write_frame(&mut buf, *corr, p).unwrap();
         }
-        let total: usize = frames
-            .iter()
-            .map(|(corr, p)| {
-                p.len() + if *corr == 0 { FRAME_OVERHEAD } else { FRAME_CORR_OVERHEAD }
-            })
-            .sum();
+        let total: usize = frames.iter().map(|(_, p)| p.len() + FRAME_OVERHEAD).sum();
         prop_assert_eq!(buf.len(), total);
         let mut cur = Cursor::new(&buf);
-        for (corr, p) in &frames {
-            let (got_corr, got) = read_frame_corr(&mut cur).unwrap().unwrap();
-            prop_assert_eq!(got_corr, *corr);
-            prop_assert_eq!(&got, p);
+        for frame in &frames {
+            prop_assert_eq!(&read_frame(&mut cur).unwrap().unwrap(), frame);
         }
-        prop_assert!(read_frame_corr(&mut cur).unwrap().is_none());
+        prop_assert!(read_frame(&mut cur).unwrap().is_none());
     }
 
-    /// A legacy (unflagged) frame decodes through the correlated reader
-    /// as correlation 0 — pre-multiplexing peers stay on strict-serial
-    /// ordering without any handshake.
+    /// Truncating a frame at every cut point — inside the length, the
+    /// correlation id, or the payload — is a corruption error, never a
+    /// short or garbled payload.
     #[test]
-    fn legacy_frames_decode_as_correlation_zero(
-        payload in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let (corr, got) = read_frame_corr(&mut Cursor::new(&buf)).unwrap().unwrap();
-        prop_assert_eq!(corr, 0);
-        prop_assert_eq!(got, payload);
-    }
-
-    /// Truncating a correlated frame at every cut point — inside the
-    /// prefix, inside the correlation id, or inside the payload — is a
-    /// corruption error, never a short or garbled payload.
-    #[test]
-    fn correlated_truncation_is_always_corruption(
-        corr in 1u64..u64::MAX,
+    fn truncation_is_always_corruption(
+        corr in any::<u64>(),
         payload in prop::collection::vec(any::<u8>(), 1..256),
         cut_fraction in 0usize..100,
     ) {
         let mut buf = Vec::new();
-        write_frame_corr(&mut buf, corr, &payload).unwrap();
+        write_frame(&mut buf, corr, &payload).unwrap();
         let cut = 1 + cut_fraction * (buf.len() - 1) / 100; // 1..buf.len()
         if cut < buf.len() {
-            match read_frame_corr(&mut Cursor::new(&buf[..cut])) {
+            match read_frame(&mut Cursor::new(&buf[..cut])) {
                 Err(PangeaError::Corruption(_)) => {}
                 other => prop_assert!(false, "cut at {cut}: {other:?}"),
             }
         }
     }
 
-    /// Garbage prefixes never panic the correlated reader: any random
-    /// byte stream either yields frames or a typed corruption error.
+    /// Garbage never panics the reader: any random byte stream either
+    /// yields frames or a typed error.
     #[test]
-    fn garbage_never_panics_the_correlated_reader(
+    fn garbage_never_panics_the_reader(
         junk in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let mut cur = Cursor::new(&junk);
-        while let Ok(Some(_)) = read_frame_corr(&mut cur) {}
-    }
-
-    /// Truncating a framed stream anywhere inside the final frame turns
-    /// into a corruption error, never a short or garbled payload.
-    #[test]
-    fn truncation_is_always_corruption(
-        payload in prop::collection::vec(any::<u8>(), 1..256),
-        cut_fraction in 0usize..100,
-    ) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let cut = 1 + cut_fraction * (buf.len() - 1) / 100; // 1..buf.len()
-        if cut < buf.len() {
-            let mut cur = Cursor::new(&buf[..cut]);
-            match read_frame(&mut cur) {
-                Err(PangeaError::Corruption(_)) => {}
-                other => prop_assert!(false, "cut at {cut}: {other:?}"),
-            }
-        }
+        while let Ok(Some(_)) = read_frame(&mut cur) {}
     }
 
     /// A length prefix above MAX_FRAME is rejected before any payload
@@ -348,7 +438,7 @@ proptest! {
     #[test]
     fn oversized_prefix_rejected(
         excess in 1u64..1_000_000,
-        junk in prop::collection::vec(any::<u8>(), 0..64),
+        junk in prop::collection::vec(any::<u8>(), 8..64),
     ) {
         let len = (MAX_FRAME as u64 + excess).min(u32::MAX as u64) as u32;
         let mut buf = len.to_le_bytes().to_vec();
@@ -356,6 +446,54 @@ proptest! {
         match read_frame(&mut Cursor::new(&buf)) {
             Err(PangeaError::Corruption(m)) => prop_assert!(m.contains("exceeds")),
             other => prop_assert!(false, "{other:?}"),
+        }
+    }
+
+    /// The whole protocol through the one frame: any request, under any
+    /// correlation id, with or without a trace context, round-trips
+    /// exactly; every strict prefix of its frame is corruption (bar the
+    /// empty stream, a clean EOF), and so is every strict prefix of its
+    /// payload; bytes appended after the last field are rejected.
+    #[test]
+    fn any_request_roundtrips_and_decodes_strictly(
+        corr in any::<u64>(),
+        traced in any::<bool>(),
+        job in 1u64..u64::MAX,
+        span in any::<u64>(),
+        sel in any::<u8>(),
+        name in prop::collection::vec(any::<u8>(), 1..12),
+        n in prop::collection::vec(any::<u64>(), 3..=3),
+        delim in any::<u8>(),
+        index in any::<u32>(),
+        whole in any::<bool>(),
+        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..6),
+        junk in prop::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let req = any_request(sel, &name, [n[0], n[1], n[2]], &records, key_spec(delim, index, whole));
+        let ctx = traced.then_some(TraceCtx { job, span });
+        prop_assert_eq!(reframe_req(corr, ctx, &req), (corr, req.clone(), ctx));
+
+        let payload = req.encode(ctx);
+        let mut frame = Vec::new();
+        write_frame(&mut frame, corr, &payload).unwrap();
+        for cut in 1..frame.len() {
+            match read_frame(&mut Cursor::new(&frame[..cut])) {
+                Err(PangeaError::Corruption(_)) => {}
+                other => prop_assert!(false, "frame cut at {cut}: {other:?}"),
+            }
+        }
+        prop_assert!(read_frame(&mut Cursor::new(&frame[..0])).unwrap().is_none());
+        for cut in 0..payload.len() {
+            match Request::decode(&payload[..cut]) {
+                Err(PangeaError::Corruption(_)) => {}
+                other => prop_assert!(false, "payload cut at {cut}: {other:?}"),
+            }
+        }
+        let mut trailing = payload;
+        trailing.extend_from_slice(&junk);
+        match Request::decode(&trailing) {
+            Err(PangeaError::Corruption(m)) => prop_assert!(m.contains("trailing"), "{m}"),
+            other => prop_assert!(false, "trailing bytes accepted: {other:?}"),
         }
     }
 
@@ -585,7 +723,7 @@ proptest! {
                 window: partitions,
             },
         }
-        .encode();
+        .encode(None);
         let cut = 1 + cut_fraction * (enc.len() - 1) / 100;
         if cut < enc.len() {
             prop_assert!(Request::decode(&enc[..cut]).is_err(), "cut at {cut} decoded");
@@ -614,7 +752,7 @@ proptest! {
                 nodes,
             },
         }
-        .encode();
+        .encode(None);
         let cut = 1 + cut_fraction * (enc.len() - 1) / 100;
         if cut < enc.len() {
             prop_assert!(Request::decode(&enc[..cut]).is_err(), "cut at {cut} decoded");
@@ -698,68 +836,43 @@ proptest! {
         });
     }
 
-    /// A trace context survives the trip on any request, and every
-    /// untraced (pre-envelope) frame decodes with `None` — the trailer
-    /// is strictly additive.
+    /// A trace context survives the trip on any request; an untraced
+    /// request's all-zero trace field decodes as `None`.
     #[test]
     fn trace_contexts_roundtrip_through_frames(
         set in prop::collection::vec(any::<u8>(), 1..16),
-        job in any::<u64>(),
+        job in 1u64..u64::MAX,
         span in any::<u64>(),
         traced in any::<bool>(),
     ) {
         let req = Request::Scan { set: ident(&set) };
-        let ctx = TraceCtx { job, span };
-        let mut buf = Vec::new();
-        let enc = if traced { req.encode_traced(Some(&ctx)) } else { req.encode() };
-        write_frame(&mut buf, &enc).unwrap();
-        let unframed = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
-        let (back, got) = Request::decode_traced(&unframed).unwrap();
-        prop_assert_eq!(back, req);
-        prop_assert_eq!(got, if traced { Some(ctx) } else { None });
+        let ctx = traced.then_some(TraceCtx { job, span });
+        prop_assert_eq!(reframe_req(3, ctx, &req), (3, req, ctx));
     }
 
-    /// Truncating a traced frame anywhere never panics: cuts inside the
-    /// trailer decode the request with `None`, cuts inside the body stay
-    /// hard errors.
+    /// Responses reject trailing bytes and every strict prefix, like
+    /// requests.
     #[test]
-    fn truncated_trace_trailer_never_panics(
-        job in any::<u64>(),
-        span in any::<u64>(),
-        cut_fraction in 0.0f64..1.0,
+    fn responses_decode_strictly(
+        hashes in prop::collection::vec(any::<u64>(), 0..16),
+        has_next in any::<bool>(),
+        cursor in (any::<u64>(), any::<u64>()),
+        junk in prop::collection::vec(any::<u8>(), 1..16),
     ) {
-        let req = Request::Stats;
-        let body_len = req.encode().len();
-        let enc = req.encode_traced(Some(&TraceCtx { job, span }));
-        let cut = ((enc.len() as f64) * cut_fraction) as usize;
-        match Request::decode_traced(&enc[..cut]) {
-            Ok((back, got)) => {
-                prop_assert_eq!(back, req);
-                prop_assert!(cut >= body_len, "body cut must not decode");
-                prop_assert!(got.is_none() || cut == enc.len());
-            }
-            Err(_) => prop_assert!(cut < body_len, "trailer cut must not error"),
+        let next = has_next.then_some(cursor);
+        let enc = Response::Hashes { hashes, next }.encode();
+        for cut in 0..enc.len() {
+            prop_assert!(matches!(
+                Response::decode(&enc[..cut]),
+                Err(PangeaError::Corruption(_))
+            ));
         }
-    }
-
-    /// Arbitrary garbage appended after a valid body is ignored by the
-    /// traced decoder (forward compatibility with future trailers) —
-    /// unless it happens to be a complete marked triple.
-    #[test]
-    fn garbage_trailers_degrade_to_none(
-        junk in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let req = Request::Ping;
-        let mut enc = req.encode();
-        enc.extend_from_slice(&junk);
-        let (back, got) = Request::decode_traced(&enc).unwrap();
-        prop_assert_eq!(back, req);
-        // An 8-byte marker colliding out of random junk is possible in
-        // principle; assert only that a context, when parsed, came from
-        // a junk run long enough to hold the marked triple's records.
-        if got.is_some() {
-            prop_assert!(junk.len() >= 24);
-        }
+        let mut trailing = enc;
+        trailing.extend_from_slice(&junk);
+        prop_assert!(matches!(
+            Response::decode(&trailing),
+            Err(PangeaError::Corruption(_))
+        ));
     }
 
     /// Metrics-dump messages — arbitrary metric mixes, span batches,
@@ -884,7 +997,7 @@ proptest! {
                 node: "driver".to_string(),
                 spans: vec![span],
             }
-            .encode()
+            .encode(None)
         };
         let cut = ((enc.len() as f64) * cut_fraction) as usize;
         if cut < enc.len() {
@@ -928,7 +1041,7 @@ fn oversized_trace_push_is_rejected_at_the_frame() {
         spans: vec![fat.clone(), fat.clone(), fat.clone(), fat],
     };
     let mut buf = Vec::new();
-    match write_frame(&mut buf, &push.encode()) {
+    match write_frame(&mut buf, 1, &push.encode(None)) {
         Err(PangeaError::InvalidUsage(_)) => {}
         other => panic!("oversized trace push must be refused, got {other:?}"),
     }

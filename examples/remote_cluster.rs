@@ -20,7 +20,7 @@
 use pangea::common::{NodeId, KB, MB};
 use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::PangeadServer;
+use pangea::net::{MapSpec, PangeadServer};
 use pangea::prelude::{PartitionScheme, Result};
 use std::time::{Duration, Instant};
 
@@ -98,14 +98,25 @@ fn main() -> Result<()> {
         cluster.best_replica("events", "event_type")?
     );
 
-    // A distributed word-count shuffle.
-    let mut shuffle = cluster.shuffle("wordcount", 6)?;
+    // A distributed word-count shuffle: each worker maps its local share
+    // and streams the routed output straight to its peers.
+    let words = cluster.create_dist_set("words", PartitionScheme::round_robin(3))?;
+    let mut d = words.loader()?;
     for i in 0..2_000u32 {
-        let word = format!("word-{:02}", i % 40);
-        shuffle.send(word.as_bytes(), word.as_bytes())?;
+        d.dispatch(format!("word-{:02}", i % 40).as_bytes())?;
     }
-    shuffle.finish()?;
-    println!("shuffle 'wordcount' finished across {} workers", 3);
+    d.finish()?;
+    let shuffled = cluster.map_shuffle(
+        "words",
+        "wordcount",
+        &MapSpec::identity(),
+        PartitionScheme::hash_whole("word", 6),
+    )?;
+    println!(
+        "map-shuffle 'wordcount': {} records routed across {} workers",
+        shuffled.records_out,
+        shuffled.tasks.len()
+    );
 
     // -- Kill a worker; the manager notices; recovery restores it. -----
     let (mut dead_server, mut dead_agent) = fleet.remove(1);

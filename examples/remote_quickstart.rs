@@ -6,11 +6,11 @@
 //! `pangead --listen 127.0.0.1:7781 --data /tmp/pangea-node0`), then
 //! drives it with [`PangeaClient`]: create a locality set, append
 //! records through the remote sequential write service, scan them back,
-//! run a small shuffle, and read the node's I/O counters.
+//! and read the node's I/O counters.
 //!
 //! Run with: `cargo run --example remote_quickstart`
 
-use pangea::common::{fx_hash64, KB, MB};
+use pangea::common::{KB, MB};
 use pangea::core::{NodeConfig, StorageNode};
 use pangea::net::{PangeaClient, PangeadServer};
 use pangea::prelude::Result;
@@ -50,24 +50,6 @@ fn main() -> Result<()> {
         pages.len()
     );
     assert_eq!(scanned.len(), events.len());
-
-    // A remote shuffle: partition locally, ship per-partition batches.
-    const PARTS: u32 = 4;
-    client.shuffle_create("wordcount", PARTS, None)?;
-    let mut batches: Vec<Vec<String>> = vec![Vec::new(); PARTS as usize];
-    for i in 0..2_000u32 {
-        let word = format!("word-{:02}", i % 40);
-        let p = (fx_hash64(word.as_bytes()) % PARTS as u64) as usize;
-        batches[p].push(word);
-    }
-    for (p, batch) in batches.iter().enumerate() {
-        client.shuffle_send("wordcount", p as u32, batch)?;
-    }
-    client.shuffle_finish("wordcount")?;
-    for p in 0..PARTS {
-        let n = client.scan(&format!("wordcount.part{p}"))?.len();
-        println!("wordcount.part{p}: {n} records");
-    }
 
     let stats = client.remote_stats()?;
     println!(

@@ -2,7 +2,7 @@
 //! workers over real loopback TCP, driven purely through
 //! [`RemoteCluster`] — no shared memory between the driver and any
 //! worker. Covers the acceptance flow: registration, wire-served
-//! catalog, batched dispatch, a distributed shuffle, a worker killed and
+//! catalog, batched dispatch, a distributed map-shuffle, a worker killed and
 //! detected via missed heartbeats, and replica-based recovery — with
 //! payload net-byte accounting matching the equivalent `SimNetwork` run.
 
@@ -10,7 +10,7 @@ use pangea::cluster::{ClusterConfig, PartitionScheme, SimCluster};
 use pangea::common::{NodeId, PangeaError, KB};
 use pangea::coord::{MgrServer, RemoteCluster, WorkerAgent};
 use pangea::core::{NodeConfig, StorageNode};
-use pangea::net::{PangeadServer, WorkerState};
+use pangea::net::{MapSpec, PangeadServer, WorkerState};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -160,33 +160,46 @@ fn full_control_plane_flow_over_loopback_tcp() {
         "the wire-served statistics DB answers best-replica queries"
     );
 
-    // -- Distributed shuffle, driver-routed and batched. ---------------
-    let mut shuffle = cluster.shuffle("wc", 4).unwrap();
+    // -- Distributed map-shuffle: tasks ship, payload stays off the driver.
     let words: Vec<String> = (0..200).map(|i| format!("word-{:03}", i % 50)).collect();
-    let before_shuffle = cluster.workers().stats().snapshot().net_bytes;
+    let input = cluster
+        .create_dist_set("words", PartitionScheme::round_robin(3))
+        .unwrap();
+    let mut d = input.loader().unwrap();
     for w in &words {
-        shuffle.send(w.as_bytes(), w.as_bytes()).unwrap();
+        d.dispatch(w.as_bytes()).unwrap();
     }
-    let word_bytes: u64 = words.iter().map(|w| w.len() as u64).sum();
-    shuffle.finish().unwrap();
-    let shuffled_bytes = cluster.workers().stats().snapshot().net_bytes - before_shuffle;
+    d.finish().unwrap();
+    let before_shuffle = cluster.workers().stats().snapshot().net_bytes;
+    let shuffled = cluster
+        .map_shuffle(
+            "words",
+            "wc",
+            &MapSpec::identity(),
+            PartitionScheme::hash_whole("word", 4),
+        )
+        .unwrap();
+    assert_eq!(shuffled.records_out, words.len() as u64);
     assert_eq!(
-        shuffled_bytes, word_bytes,
-        "every shuffle payload byte crossed the wire exactly once"
+        cluster.workers().stats().snapshot().net_bytes,
+        before_shuffle,
+        "no shuffle payload byte crosses the driver"
     );
     let mut seen = 0usize;
-    for p in 0..4u32 {
-        let core = cluster.core();
-        core.workers()
-            .scan(NodeId(p % 3), &format!("wc.part{p}"), &mut |rec| {
-                let w = String::from_utf8(rec.to_vec()).unwrap();
-                let expect = (pangea::common::fx_hash64(w.as_bytes()) % 4) as u32;
-                assert_eq!(expect, p, "record {w} landed in the wrong partition");
-                seen += 1;
-                Ok(())
-            })
-            .unwrap();
-    }
+    cluster
+        .get_dist_set("wc")
+        .unwrap()
+        .unwrap()
+        .for_each_record(|node, rec| {
+            let p = (pangea::common::fx_hash64(rec) % 4) as u32;
+            assert_eq!(
+                NodeId(p % 3),
+                node,
+                "record {rec:?} landed off its hashed partition {p}"
+            );
+            seen += 1;
+        })
+        .unwrap();
     assert_eq!(seen, words.len());
 
     // -- Kill a worker; the manager detects it via missed heartbeats. --

@@ -155,52 +155,6 @@ fn recovery_runs_over_tcp_transport() {
     assert_eq!(set.total_records().unwrap(), 120);
 }
 
-/// Drives a shuffle through `pangead` itself: the client partitions
-/// records, ships each batch over the wire, and reads partitions back
-/// through the remote sequential read service.
-#[test]
-fn client_drives_shuffle_through_pangead() {
-    let server = PangeadServer::bind(small_node("cli-shuffle"), "127.0.0.1:0").unwrap();
-    let mut client = PangeaClient::connect(server.local_addr()).unwrap();
-    client.ping().unwrap();
-
-    const PARTS: u32 = 4;
-    client.shuffle_create("wc", PARTS, None).unwrap();
-    let words: Vec<String> = (0..200).map(|i| format!("word-{:03}", i % 50)).collect();
-    let mut batches: Vec<Vec<&str>> = vec![Vec::new(); PARTS as usize];
-    for w in &words {
-        let p = (pangea::common::fx_hash64(w.as_bytes()) % PARTS as u64) as usize;
-        batches[p].push(w);
-    }
-    let mut sent_bytes = 0u64;
-    for (p, batch) in batches.iter().enumerate() {
-        client.shuffle_send("wc", p as u32, batch).unwrap();
-        sent_bytes += batch.iter().map(|w| w.len() as u64).sum::<u64>();
-    }
-    client.shuffle_finish("wc").unwrap();
-
-    let mut seen = 0usize;
-    for p in 0..PARTS {
-        let records = client.scan(&format!("wc.part{p}")).unwrap();
-        for rec in &records {
-            let w = String::from_utf8(rec.clone()).unwrap();
-            let expect = (pangea::common::fx_hash64(w.as_bytes()) % PARTS as u64) as u32;
-            assert_eq!(expect, p, "record {w} landed in the wrong partition");
-        }
-        seen += records.len();
-    }
-    assert_eq!(seen, words.len());
-
-    let stats = client.remote_stats().unwrap();
-    assert!(
-        stats.net_bytes >= sent_bytes,
-        "server saw {} B, client sent {sent_bytes} B of shuffle payload",
-        stats.net_bytes
-    );
-}
-
-/// The recovery read path over the wire: fetch raw remote pages and
-/// parse them with the page codec, as a recovering node would.
 #[test]
 fn fetch_page_supports_remote_recovery_reads() {
     let server = PangeadServer::bind(small_node("cli-fetch"), "127.0.0.1:0").unwrap();
